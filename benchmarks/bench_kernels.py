@@ -1,4 +1,4 @@
-"""Time the numba kernels against the pure-numpy fallback.
+"""Time the convolution/pooling kernels per backend.
 
 Covers the convolution/pooling geometries the model actually runs: the
 raw-EEG branch and the (much heavier) time-frequency branch at full scale,
@@ -7,7 +7,9 @@ plus a desk-scale training step.  Usage:
     python benchmarks/bench_kernels.py [--repeat 3]
 
 The active default backend comes from DUALTSST_NUMBA; this script switches
-explicitly and reports both.
+explicitly and reports both.  Temporal convolutions with at least
+``kernels.FFT_MIN_TAPS`` taps run by rFFT under either backend, so for those
+the ``loop`` row also times the numpy direct summation they replace.
 """
 
 import argparse
@@ -56,6 +58,13 @@ def bench_conv(repeat):
                 lambda: kernels.conv2d_backward_kernel(gout, x, w.shape, stride, groups),
                 repeat)
             per_backend[backend] = (fwd, bwd_x, bwd_w)
+        if ws[2] == 1 and ws[3] >= kernels.FFT_MIN_TAPS:
+            per_backend["loop"] = (
+                timeit(lambda: kernels.conv2d_forward_np(x, w, stride, groups), repeat),
+                timeit(lambda: kernels.conv2d_backward_input_np(gout, w, x.shape, stride,
+                                                                groups), repeat),
+                timeit(lambda: kernels.conv2d_backward_kernel_np(gout, x, w.shape, stride,
+                                                                 groups), repeat))
         rows.append((name, per_backend))
     return rows
 
@@ -87,9 +96,12 @@ def main():
         for backend, (fwd, bwd_x, bwd_w) in per_backend.items():
             print(f"{name:28s} {backend:6s} {fwd*1e3:9.2f}ms {bwd_x*1e3:9.2f}ms "
                   f"{bwd_w*1e3:9.2f}ms")
-        if len(per_backend) == 2:
+        if "numba" in per_backend:
             speedup = per_backend["numpy"][0] / max(per_backend["numba"][0], 1e-12)
             print(f"{'':28s} numba fwd speedup {speedup:5.2f}x")
+        if "loop" in per_backend:
+            speedup = sum(per_backend["loop"]) / max(sum(per_backend["numpy"]), 1e-12)
+            print(f"{'':28s} rfft fwd+bwd speedup over the loop {speedup:5.1f}x")
     kernels.set_backend("auto")
 
 

@@ -130,8 +130,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     manifest = dataio.load_manifest(args.data)
-    pool = dataio.load_trialset(args.data, require_tfr=True, normalize=False)
+    pool = dataio.load_trialset(args.data, require_tfr=True, normalize=False,
+                                manifest=manifest)
     spec = aug.AugmentSpec(segments=args.r, count=args.count)
     spec.validate(pool.n_times)
     rng = np.random.default_rng(args.seed)

@@ -364,15 +364,18 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
     return written
 
 
-def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True) -> TrialSet:
+def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True, *,
+                  manifest: DatasetManifest | None = None) -> TrialSet:
     """Load every trial of a dataset directory into one TrialSet.
 
     EEG is preprocessed with the band/window recorded in the manifest and
     Z-scored per (trial, channel); TFR sidecars are Z-scored per
-    (trial, channel, frequency).
+    (trial, channel, frequency).  A caller that has already parsed the
+    directory's manifest passes it as ``manifest``.
     """
     dataset_dir = Path(dataset_dir)
-    manifest = load_manifest(dataset_dir)
+    if manifest is None:
+        manifest = load_manifest(dataset_dir)
     if require_tfr and manifest.tfr is None:
         raise DataError(
             f"{dataset_dir}: no TFR sidecars; run the 'transform' command first"
@@ -435,7 +438,8 @@ def load_dataset(dataset_dir, plan: SplitPlan, require_tfr: bool = False,
                  normalize: bool = True):
     """Load a dataset directory and split it into (train, test) TrialSets."""
     manifest = load_manifest(dataset_dir)
-    full = load_trialset(dataset_dir, require_tfr=require_tfr, normalize=normalize)
+    full = load_trialset(dataset_dir, require_tfr=require_tfr, normalize=normalize,
+                         manifest=manifest)
     tags = [t.split for t in manifest.trials]
     train_idx, test_idx = split_indices(len(full), plan, tags=tags)
     return full.subset(train_idx), full.subset(test_idx)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,9 @@ from .errors import DataError
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"DTSS"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# payload dtype per tensor, by the code that version 2 stores; version 1 is all float32
+_PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 LN_EPS = 1e-5
@@ -441,8 +444,12 @@ class DualTsstModel:
     # -- checkpointing -----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Checkpoint: magic, version, config JSON, then named tensors
-        (parameters first, then buffers) in registry order as float32."""
+        """Checkpoint (version 2): magic, version, config JSON, then named tensors
+        (parameters first, then buffers) in registry order, each stored in the
+        model's dtype behind a one-byte dtype code, so a reload is bit-identical."""
+        code = next((c for c, dt in _PAYLOAD_DTYPES.items() if dt == self.dtype), None)
+        if code is None:
+            raise ValueError(f"cannot checkpoint a {self.dtype} model")
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         cfg = json.dumps(dataclasses.asdict(self.config)).encode()
@@ -456,52 +463,91 @@ class DualTsstModel:
             fh.write(struct.pack("<I", len(entries)))
             for name, arr in entries:
                 nb = name.encode()
-                arr32 = np.ascontiguousarray(arr, dtype="<f4")
+                arr = np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPES[code])
                 fh.write(struct.pack("<I", len(nb)))
                 fh.write(nb)
-                fh.write(struct.pack("<B", arr32.ndim))
-                fh.write(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
-                fh.write(arr32.tobytes())
+                fh.write(struct.pack("<BB", code, arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
 
     @classmethod
     def load(cls, path, dtype=np.float64) -> "DualTsstModel":
+        """Read a version 1 (all float32) or version 2 checkpoint and cast every
+        tensor to ``dtype``.  A truncated or garbled file, or one made for
+        another configuration, raises DataError."""
         path = Path(path)
-        blob = path.read_bytes()
-        if blob[:4] != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-        version, cfg_len = struct.unpack_from("<II", blob, 4)
-        if version != CHECKPOINT_VERSION:
+        rd = _Reader(path.read_bytes(), path)
+        magic = rd.take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise DataError(f"{path}: bad checkpoint magic {magic!r}")
+        version, cfg_len = rd.unpack("<II", "header")
+        if version not in (1, 2):
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        off = 12
-        cfg = ModelConfig(**json.loads(blob[off : off + cfg_len].decode()))
-        off += cfg_len
-        (n_entries,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        model = cls(cfg, rng=np.random.default_rng(0), dtype=dtype)
+        cfg_bytes = rd.take(cfg_len, "model config")
+        try:
+            cfg = ModelConfig(**json.loads(cfg_bytes.decode()))
+            model = cls(cfg, rng=np.random.default_rng(0), dtype=dtype)
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{path}: bad model config ({exc})") from exc
+        (n_entries,) = rd.unpack("<I", "tensor count")
         seen = set()
         for _ in range(n_entries):
-            (name_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off : off + name_len].decode()
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            count = int(np.prod(shape))
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(shape)
-            off += 4 * count
+            (name_len,) = rd.unpack("<I", "tensor name length")
+            try:
+                name = rd.take(name_len, "tensor name").decode()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: garbled tensor name ({exc})") from exc
+            code = rd.unpack("<B", f"{name} dtype code")[0] if version == 2 else 1
+            if code not in _PAYLOAD_DTYPES:
+                raise DataError(f"{path}: {name} has unknown dtype code {code}")
+            (ndim,) = rd.unpack("<B", f"{name} rank")
+            shape = rd.unpack(f"<{ndim}I", f"{name} shape")
             if name in model.params:
-                if model.params[name].data.shape != shape:
-                    raise DataError(f"{path}: {name} has shape {shape}, expected "
-                                    f"{model.params[name].data.shape}")
-                model.params[name].data = arr.astype(dtype)
+                target = model.params[name].data
             elif name in model.buffers:
-                model.buffers[name][...] = arr
+                target = model.buffers[name]
             else:
                 raise DataError(f"{path}: unknown tensor {name!r} for this configuration")
+            if name in seen:
+                raise DataError(f"{path}: tensor {name!r} stored twice")
+            if target.shape != shape:
+                raise DataError(f"{path}: {name} has shape {shape}, expected {target.shape}")
+            arr = rd.array(_PAYLOAD_DTYPES[code], shape, name)
+            if name in model.params:
+                model.params[name].data = arr.astype(dtype)
+            else:
+                target[...] = arr
             seen.add(name)
+        if rd.off != len(rd.blob):
+            raise DataError(f"{path}: {len(rd.blob) - rd.off} trailing bytes after the tensors")
         missing = (set(model.params) | set(model.buffers)) - seen
         if missing:
             raise DataError(f"{path}: checkpoint is missing tensors: {sorted(missing)}")
         return model
+
+
+class _Reader:
+    """Cursor over a checkpoint's bytes; reading past the end is a DataError."""
+
+    def __init__(self, blob: bytes, path: Path):
+        self.blob, self.path, self.off = blob, path, 0
+
+    def _advance(self, size: int, what: str) -> int:
+        start = self.off
+        if start + size > len(self.blob):
+            raise DataError(f"{self.path}: truncated checkpoint: {what} needs {size} bytes "
+                            f"at offset {start}, file has {len(self.blob)}")
+        self.off = start + size
+        return start
+
+    def take(self, size: int, what: str) -> bytes:
+        start = self._advance(size, what)
+        return self.blob[start : self.off]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt), what))
+
+    def array(self, dtype: np.dtype, shape: tuple, what: str) -> np.ndarray:
+        count = math.prod(shape)
+        start = self._advance(count * dtype.itemsize, what)
+        return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start).reshape(shape)

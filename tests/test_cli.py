@@ -69,6 +69,17 @@ def test_augment_command(tmp_path, mini_data):
     assert sorted(np.bincount(full.labels)) == [3, 3]
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_augment_nonpositive_count_exits_1(tmp_path, mini_data, capsys, count):
+    out = tmp_path / "aug"
+    code = dispatch(["augment", "--data", str(mini_data), "--out", str(out),
+                     "--r", "8", "--count", count])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--count" in err
+    assert not out.exists()
+
+
 def test_train_eval_stats_pipeline(tmp_path, mini_data):
     out = tmp_path / "run"
     assert dispatch(train_args(mini_data, out)) == 0

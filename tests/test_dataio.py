@@ -185,6 +185,15 @@ def test_load_dataset_split(tmp_path):
     assert np.all(np.abs(train.tfr.mean(axis=-1)) < 1e-9)
 
 
+def test_load_dataset_parses_the_manifest_once(tmp_path, monkeypatch):
+    make_dataset(tmp_path)
+    calls = []
+    parse = dataio.load_manifest
+    monkeypatch.setattr(dataio, "load_manifest", lambda d: calls.append(d) or parse(d))
+    dataio.load_dataset(tmp_path, dataio.SplitPlan(mode="kfold", k=4), require_tfr=True)
+    assert len(calls) == 1
+
+
 def test_load_requires_tfr(tmp_path):
     make_dataset(tmp_path, with_tfr=False)
     plan = dataio.SplitPlan(mode="kfold", k=4, fold=0)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -372,4 +374,87 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.dtss"
     path.write_bytes(b"NOPE" + bytes(32))
     with pytest.raises(DataError, match="magic"):
+        DualTsstModel.load(path)
+
+
+def trained_model(dtype, rng):
+    """A mini model whose parameters and running stats are off their init values."""
+    model = DualTsstModel(mini_config(), rng=np.random.default_rng(9), dtype=dtype)
+    eeg, tfr = mini_inputs(rng)
+    model.forward(eeg, tfr, train=True)
+    for p in model.params.values():
+        p.data = p.data + np.asarray(rng.normal(scale=1e-3, size=p.data.shape), dtype=dtype)
+    return model
+
+
+def checkpoint_tensors(model):
+    out = {k: p.data for k, p in model.params.items()}
+    out.update(model.buffers)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_checkpoint_round_trip_is_bit_identical(tmp_path, rng, dtype):
+    model = trained_model(dtype, rng)
+    path = tmp_path / "model.dtss"
+    model.save(path)
+    back = DualTsstModel.load(path, dtype=dtype)
+    before, after = checkpoint_tensors(model), checkpoint_tensors(back)
+    assert before.keys() == after.keys()
+    for name, arr in before.items():
+        assert after[name].dtype == arr.dtype, name
+        assert after[name].tobytes() == arr.tobytes(), name
+
+
+def write_v1_checkpoint(path, model):
+    """The version-1 layout: every tensor float32, no dtype code."""
+    cfg = json.dumps(dataclasses.asdict(model.config)).encode()
+    entries = list(checkpoint_tensors(model).items())
+    parts = [b"DTSS", struct.pack("<II", 1, len(cfg)), cfg, struct.pack("<I", len(entries))]
+    for name, arr in entries:
+        arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        parts += [struct.pack("<I", len(name)), name.encode(),
+                  struct.pack(f"<B{arr32.ndim}I", arr32.ndim, *arr32.shape), arr32.tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+def test_checkpoint_version_1_still_loads(tmp_path, rng):
+    model = trained_model(np.float64, rng)
+    path = tmp_path / "v1.dtss"
+    write_v1_checkpoint(path, model)
+    back = DualTsstModel.load(path)
+    for name, arr in checkpoint_tensors(model).items():
+        got = checkpoint_tensors(back)[name]
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, arr.astype(np.float32).astype(np.float64))
+
+
+def test_checkpoint_truncated_anywhere_in_header_is_a_data_error(tmp_path):
+    model = mini_model(seed=2)
+    path = tmp_path / "model.dtss"
+    model.save(path)
+    blob = path.read_bytes()
+    name = next(iter(model.params))
+    ndim = model.params[name].data.ndim
+    cfg_len = int.from_bytes(blob[8:12], "little")
+    # magic, version, config length, config, tensor count, then the first tensor's header
+    header_end = 12 + cfg_len + 4 + 4 + len(name) + 2 + 4 * ndim
+    cut = tmp_path / "cut.dtss"
+    for size in list(range(header_end + 1)) + list(range(header_end + 1, len(blob), 97)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(DataError):
+            DualTsstModel.load(cut)
+
+
+@pytest.mark.parametrize("garble", [
+    lambda b: b[:4] + (9).to_bytes(4, "little") + b[8:],
+    lambda b: b[:12] + b"x" + b[13:],
+    lambda b: b[:12] + b"\xff" + b[13:],
+    lambda b: b + b"\x00",
+], ids=["unknown-version", "config-not-json", "config-not-utf8", "trailing-byte"])
+def test_checkpoint_garbled_is_a_data_error(tmp_path, garble):
+    path = tmp_path / "model.dtss"
+    mini_model(seed=2).save(path)
+    path.write_bytes(garble(path.read_bytes()))
+    with pytest.raises(DataError):
         DualTsstModel.load(path)
