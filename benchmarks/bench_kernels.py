@@ -8,8 +8,11 @@ plus a desk-scale training step.  Usage:
 
 The active default backend comes from DUALTSST_NUMBA; this script switches
 explicitly and reports both.  Temporal convolutions with at least
-``kernels.FFT_MIN_TAPS`` taps run by rFFT under either backend, so for those
-the ``loop`` row also times the numpy direct summation they replace.
+``kernels.FFT_MIN_TAPS`` taps run by rFFT, and full-height depthwise
+convolutions by one contraction, under either backend; for those the ``loop``
+row also times the numpy direct summation they replace.  The rFFT runs two
+trials of a batch at a time (``kernels.TRIALS_IN_FLIGHT``), which the 4-trial
+case shows.
 """
 
 import argparse
@@ -35,6 +38,7 @@ CASES = [
     ("raw-branch time conv", (1, 1, 22, 1000), (40, 1, 1, 30), (1, 1), 1),
     ("raw-branch spatial conv", (1, 40, 22, 971), (40, 1, 22, 1), (1, 1), 40),
     ("tfr-branch time conv", (1, 22, 40, 1000), (40, 22, 1, 125), (1, 1), 1),
+    ("tfr-branch time conv x4", (4, 22, 40, 1000), (40, 22, 1, 125), (1, 1), 1),
     ("mini batch time conv", (64, 1, 4, 64), (3, 1, 1, 7), (1, 1), 1),
 ]
 
@@ -58,7 +62,8 @@ def bench_conv(repeat):
                 lambda: kernels.conv2d_backward_kernel(gout, x, w.shape, stride, groups),
                 repeat)
             per_backend[backend] = (fwd, bwd_x, bwd_w)
-        if ws[2] == 1 and ws[3] >= kernels.FFT_MIN_TAPS:
+        if kernels._uses_fft(ws, stride, groups) or kernels._uses_depthwise(ws, xs, stride,
+                                                                            groups):
             per_backend["loop"] = (
                 timeit(lambda: kernels.conv2d_forward_np(x, w, stride, groups), repeat),
                 timeit(lambda: kernels.conv2d_backward_input_np(gout, w, x.shape, stride,
@@ -101,7 +106,7 @@ def main():
             print(f"{'':28s} numba fwd speedup {speedup:5.2f}x")
         if "loop" in per_backend:
             speedup = sum(per_backend["loop"]) / max(sum(per_backend["numpy"]), 1e-12)
-            print(f"{'':28s} rfft fwd+bwd speedup over the loop {speedup:5.1f}x")
+            print(f"{'':28s} fwd+bwd speedup over the loop {speedup:5.1f}x")
     kernels.set_backend("auto")
 
 

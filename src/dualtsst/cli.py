@@ -342,6 +342,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.batch < 1:
+        raise UsageError(f"--batch must be >= 1, got {args.batch}")
     p = dataio.preset(args.preset)
     cfg = config_from_preset(p)
     rng = np.random.default_rng(args.seed)

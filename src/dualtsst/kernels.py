@@ -13,11 +13,30 @@ active.  The rFFT length is the input length ``W``: the valid outputs
 
 The products are one batched complex ``matmul`` over frequencies, and each
 function transforms one trial at a time, so the spectra of a whole batch
-are never held at once.  Direct summation makes one pass over the data per
-tap; at the paper's bci2a geometry the spectral path cut the three time
-convolutions' forward plus backward from about 7.3 s to 0.26 s per trial
-(2 vCPU, float64).  Below ``FFT_MIN_TAPS`` taps (the ``mini`` preset's 7
-and 9) and for every other shape the implementations below are used.
+are never held at once.  The trials of a batch run ``TRIALS_IN_FLIGHT``
+(2) at a time, on the calling thread and a pool thread (numpy's FFTs,
+copies and BLAS calls release the GIL); each
+trial writes its own slice of the output and the kernel gradient sums the
+per-trial products in trial order, so the result is bit-identical to a
+serial loop.  Direct summation makes one pass over the data per tap; at the
+paper's bci2a geometry the spectral path cut the three time convolutions'
+forward plus backward from about 7.3 s to 0.26 s per trial (2 vCPU,
+float64), and the threads take the 125-tap time-frequency conv of a 4-trial
+batch from about 430-690 ms to 290-390 ms (forward plus both gradients).
+
+Depthwise convolutions whose kernel spans the full input height, kernels
+``[C, 1, H, 1]`` with ``groups == C`` input and output channels and stride
+``(1, 1)`` (every spatial/spectral conv of the model), are one contraction
+each, whichever backend is active:
+
+* forward: ``einsum("nchw,ch->ncw")``;
+* input gradient: the broadcast product ``g[n, c, 0, w] * k[c, h]``;
+* kernel gradient: ``einsum("ncw,nchw->ch")``.
+
+At the raw branch's bci2a shape that is about 5x faster than direct
+summation (forward plus both gradients).  Below ``FFT_MIN_TAPS`` taps (the
+``mini`` preset's 7 and 9), pointwise convolutions, pooling and every other
+shape use the implementations below.
 
 Every other convolution has two interchangeable implementations side by
 side:
@@ -39,7 +58,10 @@ because the summation orders differ.
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
+import threading
 
 import numpy as np
 
@@ -101,7 +123,10 @@ def _uses_fft(w_shape, stride, groups) -> bool:
 
 def _spectrum(a, n):
     """rfft of length ``n`` along the last axis, frequencies moved to the front."""
-    return np.ascontiguousarray(np.moveaxis(np.fft.rfft(a, n=n, axis=-1), -1, 0))
+    spec = np.empty((n // 2 + 1,) + a.shape[:-1], dtype=np.result_type(a.dtype, np.complex64))
+    # written straight into the frequency-first layout: no second copy is held
+    np.fft.rfft(a, n=n, axis=-1, out=np.moveaxis(spec, 0, -1))
+    return spec
 
 
 def _signal(spec, n):
@@ -110,13 +135,68 @@ def _signal(spec, n):
     return np.fft.irfft(np.ascontiguousarray(np.moveaxis(spec, 0, -1)), n=n, axis=-1)
 
 
+# Trials of one batch transformed at a time: the calling thread and
+# ``TRIALS_IN_FLIGHT - 1`` pool threads.  Fixed rather than one per CPU
+# because every trial in flight holds its spectra (about 30-40 MB for the
+# bci2a 125-tap conv), and 2 is the only value whose speed and peak memory
+# have been measured.
+TRIALS_IN_FLIGHT = 2
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads, and
+    # the lock possibly held by a thread that no longer exists
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(fn, *args):
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: concurrent.futures pulls in logging, about 10 ms of import
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=TRIALS_IN_FLIGHT - 1,
+                                       thread_name_prefix="dualtsst")
+    return _pool.submit(fn, *args)
+
+
+def _per_trial(fn, n):
+    """Yield ``fn(b)`` for every trial ``b < n``, in trial order.
+
+    ``TRIALS_IN_FLIGHT`` trials run at a time, one on the calling thread and
+    the others on pool threads (numpy's FFTs, copies and BLAS calls release
+    the GIL), so at most that many results are held at once.  The calling
+    thread works rather than waits because memory freed on a pool thread
+    stays in that thread's malloc arena: a pool doing every trial left bci2a
+    steps about 100 MiB larger.
+    """
+    for first in range(0, n, TRIALS_IN_FLIGHT):
+        rest = [_submit(fn, b) for b in range(first + 1, min(first + TRIALS_IN_FLIGHT, n))]
+        yield fn(first)
+        for future in rest:
+            yield future.result()
+
+
 def _tconv_forward_fft(x, w):
     n, _, h, wd = x.shape
     cout, _, _, k = w.shape
     wf = _spectrum(w[:, :, 0, :], wd).conj()  # [F, Cout, Cin]
     out = np.empty((n, cout, h, wd - k + 1), dtype=x.dtype)
-    for b in range(n):
+
+    def trial(b):
         out[b] = _signal(wf @ _spectrum(x[b], wd), wd)[..., : wd - k + 1]
+
+    list(_per_trial(trial, n))
     return out
 
 
@@ -124,18 +204,36 @@ def _tconv_backward_input_fft(gout, w, x_shape):
     wd = x_shape[3]
     wf = _spectrum(w[:, :, 0, :], wd).transpose(0, 2, 1)  # [F, Cin, Cout]
     gx = np.empty(x_shape, dtype=gout.dtype)
-    for b in range(x_shape[0]):
+
+    def trial(b):
         gx[b] = _signal(wf @ _spectrum(gout[b], wd), wd)
+
+    list(_per_trial(trial, x_shape[0]))
     return gx
 
 
 def _tconv_backward_kernel_fft(gout, x, w_shape):
     wd = x.shape[3]
-    acc = 0.0
-    for b in range(x.shape[0]):
-        acc = acc + _spectrum(gout[b], wd).conj() @ _spectrum(x[b], wd).transpose(0, 2, 1)
+
+    def trial(b):
+        gs = _spectrum(gout[b], wd)
+        return np.conjugate(gs, out=gs) @ _spectrum(x[b], wd).transpose(0, 2, 1)
+
+    # summed in trial order, so the bits do not depend on thread timing
+    acc = functools.reduce(operator.iadd, _per_trial(trial, x.shape[0]))
     gw = _signal(acc, wd)[..., : w_shape[3]]  # [Cout, Cin, k]
     return np.ascontiguousarray(gw[:, :, None, :], dtype=gout.dtype)
+
+
+# ---------------------------------------------------------------------------
+# depthwise convolution over the full height
+# ---------------------------------------------------------------------------
+
+
+def _uses_depthwise(w_shape, x_shape, stride, groups) -> bool:
+    cout, cin_g, kh, kw = w_shape
+    return (cin_g == 1 and groups == cout == x_shape[1] and kh == x_shape[2] and kw == 1
+            and tuple(stride) == (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +401,8 @@ if _HAVE_NUMBA:
 def conv2d_forward(x, w, stride, groups):
     if _uses_fft(w.shape, stride, groups):
         return _tconv_forward_fft(x, w)
+    if _uses_depthwise(w.shape, x.shape, stride, groups):
+        return np.einsum("nchw,ch->ncw", x, w[:, 0, :, 0])[:, :, None, :]
     if _backend == "numba":
         x = np.ascontiguousarray(x)
         w = np.ascontiguousarray(w)
@@ -320,6 +420,8 @@ def conv2d_forward(x, w, stride, groups):
 def conv2d_backward_input(gout, w, x_shape, stride, groups):
     if _uses_fft(w.shape, stride, groups):
         return _tconv_backward_input_fft(gout, w, x_shape)
+    if _uses_depthwise(w.shape, x_shape, stride, groups):
+        return gout * w[:, 0]  # [N, C, 1, W] * [C, H, 1]
     if _backend == "numba":
         gout = np.ascontiguousarray(gout)
         w = np.ascontiguousarray(w)
@@ -332,6 +434,8 @@ def conv2d_backward_input(gout, w, x_shape, stride, groups):
 def conv2d_backward_kernel(gout, x, w_shape, stride, groups):
     if _uses_fft(w_shape, stride, groups):
         return _tconv_backward_kernel_fft(gout, x, w_shape)
+    if _uses_depthwise(w_shape, x.shape, stride, groups):
+        return np.einsum("ncw,nchw->ch", gout[:, :, 0], x)[:, None, :, None]
     if _backend == "numba":
         gout = np.ascontiguousarray(gout)
         x = np.ascontiguousarray(x)

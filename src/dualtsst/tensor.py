@@ -14,7 +14,6 @@ Compute happens in the dtype of the inputs; 64-bit floats are the default.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 
 import numpy as np
@@ -469,37 +468,42 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4:
         raise ValueError("batch_norm expects 4-d input")
-    c = x.data.shape[1]
+    n, c, h, w = x.data.shape
+    m = n * h * w
     axes = (0, 2, 3)
     gshape = (1, c, 1, 1)
     if train:
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        out = x.data - mu.reshape(gshape)
+        var = np.einsum("nchw,nchw->c", out, out) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mu = np.asarray(running_mean)
+        mu = np.array(running_mean)  # a copy: the buffer may change before backward
+        out = x.data - mu.reshape(gshape)
         var = np.asarray(running_var)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(gshape)) * inv.reshape(gshape)
-    out = xhat * gamma.data.reshape(gshape) + beta.data.reshape(gshape)
+    out *= inv.reshape(gshape)  # out is xhat here
+    out *= gamma.data.reshape(gshape)
+    out += beta.data.reshape(gshape)
 
     def vjp(g):
-        gg = g * gamma.data.reshape(gshape)
+        # xhat is recomputed from x, which the graph keeps anyway, rather than
+        # held from the forward pass as a second array of x's size
+        xhat = x.data - mu.reshape(gshape)
+        xhat *= inv.reshape(gshape)
+        gbeta = g.sum(axis=axes)
+        ggamma = np.einsum("nchw,nchw->c", g, xhat)
+        scale = gamma.data * inv
+        gx = g * scale.reshape(gshape)
         if train:
-            m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-            mean_gg = gg.mean(axis=axes).reshape(gshape)
-            mean_ggx = (gg * xhat).mean(axis=axes).reshape(gshape)
-            gx = inv.reshape(gshape) * (gg - mean_gg - xhat * mean_ggx)
-        else:
-            gx = gg * inv.reshape(gshape)
-        return (
-            (x, gx),
-            (gamma, (g * xhat).sum(axis=axes)),
-            (beta, g.sum(axis=axes)),
-        )
+            # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), per channel
+            xhat *= (scale * ggamma / m).reshape(gshape)
+            gx -= xhat
+            gx -= (scale * gbeta / m).reshape(gshape)
+        return ((x, gx), (gamma, ggamma), (beta, gbeta))
 
     return _track(out, (x, gamma, beta), vjp)
 
@@ -541,7 +545,3 @@ def cross_entropy(logits, labels) -> Tensor:
 
     return _track(out, (logits,), vjp)
 
-
-def log_m_classes(m: int) -> float:
-    """Loss of a uniform predictor over ``m`` classes."""
-    return math.log(m)

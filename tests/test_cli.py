@@ -80,6 +80,13 @@ def test_augment_nonpositive_count_exits_1(tmp_path, mini_data, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch", ["0", "-2"])
+def test_gradcheck_nonpositive_batch_exits_1(capsys, batch):
+    assert dispatch(["gradcheck", "--preset", "mini", "--batch", batch]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--batch" in err
+
+
 def test_train_eval_stats_pipeline(tmp_path, mini_data):
     out = tmp_path / "run"
     assert dispatch(train_args(mini_data, out)) == 0

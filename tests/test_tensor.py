@@ -257,6 +257,79 @@ def test_batch_norm_gradients_train_and_eval(rng):
         fd_check(build, [x, gamma, beta])
 
 
+def _batch_norm_oracle(x, gamma, beta, rm, rv, g, train, momentum=0.1, eps=1e-5):
+    """The two-pass formula: ``np.var`` for the statistics, the VJP through
+    ``mean(gamma * g)`` and ``mean(gamma * g * xhat)``.  Returns the output,
+    the x, gamma and beta gradients, and the updated running buffers."""
+    rm, rv = rm.copy(), rv.copy()
+    axes, gshape = (0, 2, 3), (1, x.shape[1], 1, 1)
+    if train:
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        rm *= 1.0 - momentum
+        rm += momentum * mu
+        rv *= 1.0 - momentum
+        rv += momentum * var
+    else:
+        mu, var = rm, rv
+    inv = (1.0 / np.sqrt(var + eps)).reshape(gshape)
+    xhat = (x - mu.reshape(gshape)) * inv
+    out = xhat * gamma.reshape(gshape) + beta.reshape(gshape)
+    gg = g * gamma.reshape(gshape)
+    if train:
+        gx = inv * (gg - gg.mean(axis=axes).reshape(gshape)
+                    - xhat * (gg * xhat).mean(axis=axes).reshape(gshape))
+    else:
+        gx = gg * inv
+    return out, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes), rm, rv
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape", [(2, 3, 2, 4), (1, 5, 1, 33), (4, 40, 22, 97)])
+def test_batch_norm_matches_two_pass_formula(rng, train, shape):
+    c = shape[1]
+    x = leaf(rng, *shape, scale=3.0)
+    x.data += rng.normal(size=(1, c, 1, 1))  # per-channel offsets
+    gamma, beta = leaf(rng, c), leaf(rng, c)
+    rm, rv = rng.normal(size=c), np.abs(rng.normal(size=c)) + 0.5
+    g = rng.normal(size=shape)
+    want = _batch_norm_oracle(x.data, gamma.data, beta.data, rm, rv, g, train)
+
+    out = T.batch_norm(x, gamma, beta, rm, rv, train=train)
+    T.backward((out * T.Tensor(g)).sum())
+    got = (out.data, x.grad, gamma.grad, beta.grad, rm, rv)
+    for name, a, b in zip(("out", "x grad", "gamma grad", "beta grad",
+                           "running mean", "running var"), got, want):
+        assert a.shape == b.shape, name
+        err = np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert err <= 1e-12, f"{name}: max relative error {err:.3e}"
+
+
+def test_batch_norm_eval_gradient_ignores_later_buffer_updates(rng):
+    x, gamma, beta = leaf(rng, 2, 3, 2, 5), leaf(rng, 3), leaf(rng, 3)
+    rm, rv = rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.5
+    g = rng.normal(size=x.shape)
+    want = _batch_norm_oracle(x.data, gamma.data, beta.data, rm, rv, g, train=False)
+    out = T.batch_norm(x, gamma, beta, rm, rv, train=False)
+    with T.no_grad():  # a train-mode call moves the running buffers before backward
+        T.batch_norm(T.Tensor(x.data + 5.0), gamma, beta, rm, rv, train=True)
+    T.backward((out * T.Tensor(g)).sum())
+    for got, ref in zip((x.grad, gamma.grad, beta.grad), want[1:4]):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_batch_norm_keeps_float32(rng, train):
+    f32 = np.float32
+    x = T.Tensor(rng.normal(size=(2, 3, 4, 5)).astype(f32), requires_grad=True)
+    gamma = T.Tensor(np.ones(3, dtype=f32), requires_grad=True)
+    beta = T.Tensor(np.zeros(3, dtype=f32), requires_grad=True)
+    rm, rv = np.zeros(3, dtype=f32), np.ones(3, dtype=f32)
+    out = T.batch_norm(x, gamma, beta, rm, rv, train=train)
+    T.backward(out.sum())
+    for a in (out.data, x.grad, gamma.grad, beta.grad, rm, rv):
+        assert a.dtype == f32
+
+
 # ---------------------------------------------------------------------------
 # elu / linear / softmax / layer_norm / gap
 # ---------------------------------------------------------------------------
