@@ -1,6 +1,6 @@
 """Dual-branch temporal-spectral-spatial EEG decoder.
 
-A self-contained numpy/numba stack: a minimal reverse-mode tensor library,
+A self-contained numpy stack: a minimal reverse-mode tensor library,
 Morlet time-frequency preprocessing, segment-reassemble augmentation, the
 dual-branch CNN + transformer model, the training recipe, and evaluation
 statistics.  See the CLI (``dualtsst --help``) for the end-to-end pipeline.

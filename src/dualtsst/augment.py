@@ -9,25 +9,11 @@ so every synthetic trial respects the original temporal sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataio import TrialSet
 from .errors import DataError
 from .signal import EegTrial, TfrTrial
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    segments: int  # segments per trial
-    count: int = 0  # samples to generate per batch (0 = match batch size)
-
-    def validate(self, n_times: int) -> None:
-        if self.segments < 1:
-            raise DataError(f"segments must be >= 1, got {self.segments}")
-        if self.segments > n_times:
-            raise DataError(f"segments {self.segments} > trial length {n_times}")
 
 
 def segment_bounds(n_times: int, segments: int) -> list:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment as aug
-from . import dataio, kernels, metrics, train as training
+from . import dataio, metrics, train as training
 from .errors import DataError, DualTsstError, NumericalError, UsageError
 from .gradcheck import check_gradients
 from .model import DualTsstModel, ModelConfig, config_from_preset
@@ -37,6 +37,14 @@ def _write_resolved(out_dir, payload: dict) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _seed(text) -> int:
+    """argparse type of every seed flag: numpy seeds must be >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_window(text):
@@ -135,14 +143,12 @@ def _cmd_augment(args) -> int:
     manifest = dataio.load_manifest(args.data)
     pool = dataio.load_trialset(args.data, require_tfr=True, normalize=False,
                                 manifest=manifest)
-    spec = aug.AugmentSpec(segments=args.r, count=args.count)
-    spec.validate(pool.n_times)
     rng = np.random.default_rng(args.seed)
     classes = sorted(int(c) for c in np.unique(pool.labels))
     eeg_out, tfr_out, labels_out = [], [], []
-    for i in range(spec.count):
+    for i in range(args.count):
         label = classes[i % len(classes)]
-        e, t = aug.segment_reassemble(pool, label, spec.segments, rng)
+        e, t = aug.segment_reassemble(pool, label, args.r, rng)
         eeg_out.append(e.data)
         tfr_out.append(t.data)
         labels_out.append(label)
@@ -166,6 +172,19 @@ def _cmd_augment(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# config field annotation -> whether a JSON value fits it
+_JSON_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
 def _load_run_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -173,18 +192,30 @@ def _load_run_config(path) -> dict:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
-    # "command"/"data" appear in resolved_config.json echoes and are ignored,
-    # so a resolved config can be replayed directly via --config
-    allowed = {"model", "train", "preset", "seed", "backend", "split", "command", "data"}
+    # "command"/"data" appear in resolved_config.json echoes, and "backend" in
+    # those written while the kernels had a backend switch; all three are
+    # ignored, so a resolved config can be replayed directly via --config
+    allowed = {"model", "train", "preset", "seed", "split", "command", "data", "backend"}
     unknown = set(raw) - allowed
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
-    for section, cls in (("model", ModelConfig), ("train", training.TrainConfig)):
-        if section in raw:
-            names = {f.name for f in dataclasses.fields(cls)}
-            bad = set(raw[section]) - names
-            if bad:
-                raise DataError(f"{path}: unknown {section} keys {sorted(bad)}")
+    if raw.get("preset") is not None and not isinstance(raw["preset"], str):
+        raise DataError(f"{path}: preset must be a string, got {raw['preset']!r}")
+    if "seed" in raw and not _is_int(raw["seed"]):
+        raise DataError(f"{path}: seed must be an integer, got {raw['seed']!r}")
+    for section, cls in (("model", ModelConfig), ("train", training.TrainConfig),
+                         ("split", dataio.SplitPlan)):
+        if section not in raw:
+            continue
+        if not isinstance(raw[section], dict):
+            raise DataError(f"{path}: {section} must be a JSON object, got {raw[section]!r}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        bad = set(raw[section]) - set(types)
+        if bad:
+            raise DataError(f"{path}: unknown {section} keys {sorted(bad)}")
+        for key, value in raw[section].items():
+            if not _JSON_CHECKS[types[key]](value):
+                raise DataError(f"{path}: {section}.{key} must be {types[key]}, got {value!r}")
     return raw
 
 
@@ -205,11 +236,6 @@ def _cmd_train(args) -> int:
     file_cfg = _load_run_config(args.config) if args.config else {}
     preset_name = args.preset or file_cfg.get("preset")
     p = dataio.preset(preset_name) if preset_name else None
-
-    if args.backend != "auto":
-        kernels.set_backend(args.backend)
-    elif file_cfg.get("backend") and file_cfg["backend"] != "auto":
-        kernels.set_backend(file_cfg["backend"])
 
     plan = _split_plan_from_args(args, p, file_cfg)
     train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True)
@@ -247,7 +273,6 @@ def _cmd_train(args) -> int:
         "command": "train",
         "preset": preset_name,
         "seed": seed,
-        "backend": kernels.get_backend(),
         "split": dataclasses.asdict(plan),
         "model": dataclasses.asdict(model_cfg),
         "train": dataclasses.asdict(train_cfg),
@@ -384,7 +409,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--t", type=int, help="samples per trial")
     sp.add_argument("--fs", type=float)
     sp.add_argument("--noise", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--name", default="synth")
     sp.set_defaults(func=_cmd_synth)
 
@@ -404,7 +429,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--r", type=int, required=True, help="segments per trial")
     sp.add_argument("--count", type=int, default=32)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=_cmd_augment)
 
     sp = sub.add_parser("train", help="train a model")
@@ -412,13 +437,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--config", help="JSON file with 'model'/'train' sections")
     sp.add_argument("--preset", choices=dataio.preset_names())
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed)
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--split", choices=["session", "kfold"])
     sp.add_argument("--k", type=int)
     sp.add_argument("--fold", type=int)
-    sp.add_argument("--split-seed", type=int)
-    sp.add_argument("--backend", choices=["auto", "numpy", "numba"], default="auto")
+    sp.add_argument("--split-seed", type=_seed)
     sp.add_argument("--quiet", action="store_true")
     sp.add_argument("--no-transformer", action="store_true")
     sp.add_argument("--no-branch1", action="store_true")
@@ -435,7 +459,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--split", choices=["session", "kfold"])
     sp.add_argument("--k", type=int)
     sp.add_argument("--fold", type=int)
-    sp.add_argument("--split-seed", type=int)
+    sp.add_argument("--split-seed", type=_seed)
     sp.add_argument("--features", help="dump pre-classifier features to this tensor file")
     sp.set_defaults(func=_cmd_eval)
 
@@ -447,7 +471,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     sp.add_argument("--preset", default="mini", choices=dataio.preset_names())
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
     sp.add_argument("--batch", type=int, default=2)
     sp.set_defaults(func=_cmd_gradcheck)
 

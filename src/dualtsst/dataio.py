@@ -88,11 +88,6 @@ def read_array(path) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f4", offset=off).reshape(shape).copy()
 
 
-# some callers think of these in trial terms
-write_trial = write_array
-read_trial = read_array
-
-
 # ---------------------------------------------------------------------------
 # trial collections
 # ---------------------------------------------------------------------------
@@ -248,6 +243,8 @@ class SplitPlan:
     def validate(self) -> None:
         if self.mode not in ("session", "kfold"):
             raise DataError(f"unknown split mode {self.mode!r}")
+        if self.seed < 0:
+            raise DataError(f"split seed must be >= 0, got {self.seed}")
         if self.mode == "kfold":
             if self.k < 2:
                 raise DataError("kfold needs k >= 2")

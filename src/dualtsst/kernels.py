@@ -1,10 +1,12 @@
 """Convolution and pooling kernels, the hot inner loops of training.
 
+Each convolution takes one of three paths, chosen by the shapes alone.
+
 Temporal convolutions, kernels ``[Cout, Cin, 1, k]`` with ``groups == 1``,
 stride ``(1, 1)`` and at least ``FFT_MIN_TAPS`` taps, run as spectral
-products along time (Mathieu et al., arXiv:1312.5851) whichever backend is
-active.  The rFFT length is the input length ``W``: the valid outputs
-``0..W-k`` never wrap around, so nothing is padded.
+products along time (Mathieu et al., arXiv:1312.5851).  The rFFT length is
+the input length ``W``: the valid outputs ``0..W-k`` never wrap around, so
+nothing is padded.
 
 * forward: ``irfft(conj(rfft(w)) @ rfft(x))``, first ``W-k+1`` samples;
 * input gradient: ``irfft(rfft(w)^T @ rfft(g))``;
@@ -21,39 +23,29 @@ per-trial products in trial order, so the result is bit-identical to a
 serial loop.  Direct summation makes one pass over the data per tap; at the
 paper's bci2a geometry the spectral path cut the three time convolutions'
 forward plus backward from about 7.3 s to 0.26 s per trial (2 vCPU,
-float64), and the threads take the 125-tap time-frequency conv of a 4-trial
-batch from about 430-690 ms to 290-390 ms (forward plus both gradients).
+float64).
 
 Depthwise convolutions whose kernel spans the full input height, kernels
 ``[C, 1, H, 1]`` with ``groups == C`` input and output channels and stride
 ``(1, 1)`` (every spatial/spectral conv of the model), are one contraction
-each, whichever backend is active:
+each:
 
 * forward: ``einsum("nchw,ch->ncw")``;
 * input gradient: the broadcast product ``g[n, c, 0, w] * k[c, h]``;
 * kernel gradient: ``einsum("ncw,nchw->ch")``.
 
 At the raw branch's bci2a shape that is about 5x faster than direct
-summation (forward plus both gradients).  Below ``FFT_MIN_TAPS`` taps (the
-``mini`` preset's 7 and 9), pointwise convolutions, pooling and every other
-shape use the implementations below.
+summation (forward plus both gradients).
 
-Every other convolution has two interchangeable implementations side by
-side:
-
-* ``numba``: ``@njit`` loop nests, the default whenever numba imports.
-* ``numpy``: a loop-over-kernel-positions formulation that stays inside
-  BLAS-backed einsum calls and never materialises an im2col buffer.
-
-The active backend is picked at import time from the ``DUALTSST_NUMBA``
-environment variable (``0``/``off``/``false`` forces pure numpy, ``1`` makes a
-missing numba an error, anything else is auto-detect) and can be switched at
-runtime with :func:`set_backend`.  ``benchmarks/bench_kernels.py`` times the
-paths against each other.
+Every other convolution (below ``FFT_MIN_TAPS`` taps, as the ``mini``
+preset's 7 and 9, pointwise, grouped or strided) is summed directly by
+``conv2d_*_np``: a loop over kernel positions that stays inside einsum
+calls and never materialises an im2col buffer.  The tests use those three
+functions as the oracle for the two fast paths.
 
 All convolutions are valid (no padding) cross-correlations.  Every path is
-deterministic; they may differ from each other in the last few ulps
-because the summation orders differ.
+deterministic; the fast paths differ from direct summation in the last few
+ulps because the summation orders differ.
 """
 
 from __future__ import annotations
@@ -64,46 +56,6 @@ import os
 import threading
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def _default_backend() -> str:
-    env = os.environ.get("DUALTSST_NUMBA", "auto").strip().lower()
-    if env in ("0", "off", "false", "no"):
-        return "numpy"
-    if env in ("1", "on", "true", "yes") and not _HAVE_NUMBA:
-        raise ImportError("DUALTSST_NUMBA=1 but numba is not importable")
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_backend = _default_backend()
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend, ``"numba"`` or ``"numpy"``."""
-    if name == "auto":
-        name = "numba" if _HAVE_NUMBA else "numpy"
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    global _backend
-    _backend = name
-
-
-def get_backend() -> str:
-    return _backend
-
-
-def numba_available() -> bool:
-    return _HAVE_NUMBA
-
 
 # ---------------------------------------------------------------------------
 # temporal convolution by rFFT
@@ -237,7 +189,7 @@ def _uses_depthwise(w_shape, x_shape, stride, groups) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numpy implementations
+# direct summation: every other convolution shape
 # ---------------------------------------------------------------------------
 
 
@@ -290,109 +242,6 @@ def conv2d_backward_kernel_np(gout, x, w_shape, stride, groups):
     return gw.reshape(w_shape)
 
 
-def avgpool_forward_np(x, k, s):
-    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=3)[:, :, :, ::s]
-    return win.mean(axis=-1)
-
-
-def avgpool_backward_np(gout, k, s, w_in):
-    n, c, h, wo = gout.shape
-    gx = np.zeros((n, c, h, w_in), dtype=gout.dtype)
-    g = gout / k
-    for q in range(k):
-        gx[:, :, :, q : q + s * wo : s] += g
-    return gx
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _conv2d_forward_nb(x, w, sh, sw, groups, out):
-        n, cout, ho, wo = out.shape
-        cin_g, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-        cout_g = cout // groups
-        for b in range(n):
-            for co in range(cout):
-                ci0 = (co // cout_g) * cin_g
-                for oh in range(ho):
-                    ih0 = oh * sh
-                    for ow in range(wo):
-                        iw0 = ow * sw
-                        acc = 0.0
-                        for ci in range(cin_g):
-                            for p in range(kh):
-                                for q in range(kw):
-                                    acc += x[b, ci0 + ci, ih0 + p, iw0 + q] * w[co, ci, p, q]
-                        out[b, co, oh, ow] = acc
-
-    @njit(cache=True)
-    def _conv2d_backward_input_nb(gout, w, sh, sw, groups, gx):
-        n, cout, ho, wo = gout.shape
-        cin_g, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-        cout_g = cout // groups
-        for b in range(n):
-            for co in range(cout):
-                ci0 = (co // cout_g) * cin_g
-                for oh in range(ho):
-                    ih0 = oh * sh
-                    for ow in range(wo):
-                        iw0 = ow * sw
-                        g = gout[b, co, oh, ow]
-                        for ci in range(cin_g):
-                            for p in range(kh):
-                                for q in range(kw):
-                                    gx[b, ci0 + ci, ih0 + p, iw0 + q] += g * w[co, ci, p, q]
-
-    @njit(cache=True)
-    def _conv2d_backward_kernel_nb(gout, x, sh, sw, groups, gw):
-        n, cout, ho, wo = gout.shape
-        cin_g, kh, kw = gw.shape[1], gw.shape[2], gw.shape[3]
-        cout_g = cout // groups
-        for b in range(n):
-            for co in range(cout):
-                ci0 = (co // cout_g) * cin_g
-                for oh in range(ho):
-                    ih0 = oh * sh
-                    for ow in range(wo):
-                        iw0 = ow * sw
-                        g = gout[b, co, oh, ow]
-                        for ci in range(cin_g):
-                            for p in range(kh):
-                                for q in range(kw):
-                                    gw[co, ci, p, q] += g * x[b, ci0 + ci, ih0 + p, iw0 + q]
-
-    @njit(cache=True)
-    def _avgpool_forward_nb(x, k, s, out):
-        n, c, h, wo = out.shape
-        inv = 1.0 / k
-        for b in range(n):
-            for ci in range(c):
-                for row in range(h):
-                    for ow in range(wo):
-                        iw0 = ow * s
-                        acc = 0.0
-                        for q in range(k):
-                            acc += x[b, ci, row, iw0 + q]
-                        out[b, ci, row, ow] = acc * inv
-
-    @njit(cache=True)
-    def _avgpool_backward_nb(gout, k, s, gx):
-        n, c, h, wo = gout.shape
-        inv = 1.0 / k
-        for b in range(n):
-            for ci in range(c):
-                for row in range(h):
-                    for ow in range(wo):
-                        g = gout[b, ci, row, ow] * inv
-                        iw0 = ow * s
-                        for q in range(k):
-                            gx[b, ci, row, iw0 + q] += g
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
@@ -403,17 +252,6 @@ def conv2d_forward(x, w, stride, groups):
         return _tconv_forward_fft(x, w)
     if _uses_depthwise(w.shape, x.shape, stride, groups):
         return np.einsum("nchw,ch->ncw", x, w[:, 0, :, 0])[:, :, None, :]
-    if _backend == "numba":
-        x = np.ascontiguousarray(x)
-        w = np.ascontiguousarray(w)
-        n, _, h, wd = x.shape
-        cout, _, kh, kw = w.shape
-        sh, sw = stride
-        ho = (h - kh) // sh + 1
-        wo = (wd - kw) // sw + 1
-        out = np.empty((n, cout, ho, wo), dtype=x.dtype)
-        _conv2d_forward_nb(x, w, sh, sw, groups, out)
-        return out
     return conv2d_forward_np(x, w, stride, groups)
 
 
@@ -422,12 +260,6 @@ def conv2d_backward_input(gout, w, x_shape, stride, groups):
         return _tconv_backward_input_fft(gout, w, x_shape)
     if _uses_depthwise(w.shape, x_shape, stride, groups):
         return gout * w[:, 0]  # [N, C, 1, W] * [C, H, 1]
-    if _backend == "numba":
-        gout = np.ascontiguousarray(gout)
-        w = np.ascontiguousarray(w)
-        gx = np.zeros(x_shape, dtype=gout.dtype)
-        _conv2d_backward_input_nb(gout, w, stride[0], stride[1], groups, gx)
-        return gx
     return conv2d_backward_input_np(gout, w, x_shape, stride, groups)
 
 
@@ -436,31 +268,23 @@ def conv2d_backward_kernel(gout, x, w_shape, stride, groups):
         return _tconv_backward_kernel_fft(gout, x, w_shape)
     if _uses_depthwise(w_shape, x.shape, stride, groups):
         return np.einsum("ncw,nchw->ch", gout[:, :, 0], x)[:, None, :, None]
-    if _backend == "numba":
-        gout = np.ascontiguousarray(gout)
-        x = np.ascontiguousarray(x)
-        gw = np.zeros(w_shape, dtype=gout.dtype)
-        _conv2d_backward_kernel_nb(gout, x, stride[0], stride[1], groups, gw)
-        return gw
     return conv2d_backward_kernel_np(gout, x, w_shape, stride, groups)
 
 
+# ---------------------------------------------------------------------------
+# average pooling along time
+# ---------------------------------------------------------------------------
+
+
 def avgpool_forward(x, k, s):
-    if _backend == "numba":
-        x = np.ascontiguousarray(x)
-        n, c, h, wd = x.shape
-        wo = (wd - k) // s + 1
-        out = np.empty((n, c, h, wo), dtype=x.dtype)
-        _avgpool_forward_nb(x, k, s, out)
-        return out
-    return avgpool_forward_np(x, k, s)
+    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=3)[:, :, :, ::s]
+    return win.mean(axis=-1)
 
 
 def avgpool_backward(gout, k, s, w_in):
-    if _backend == "numba":
-        gout = np.ascontiguousarray(gout)
-        n, c, h, _ = gout.shape
-        gx = np.zeros((n, c, h, w_in), dtype=gout.dtype)
-        _avgpool_backward_nb(gout, k, s, gx)
-        return gx
-    return avgpool_backward_np(gout, k, s, w_in)
+    n, c, h, wo = gout.shape
+    gx = np.zeros((n, c, h, w_in), dtype=gout.dtype)
+    g = gout / k
+    for q in range(k):
+        gx[:, :, :, q : q + s * wo : s] += g
+    return gx

@@ -56,6 +56,8 @@ class TrainConfig:
             raise DataError("augment_segments must be >= 0")
         if self.dtype not in ("float64", "float32"):
             raise DataError(f"dtype must be float64 or float32, got {self.dtype!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def cosine_lr(t_cur: float, lr_max: float, lr_min: float = 0.0,

@@ -1,17 +1,6 @@
 import numpy as np
 import pytest
 
-from dualtsst import kernels
-
-
-@pytest.fixture(params=["numba", "numpy"] if kernels.numba_available() else ["numpy"])
-def backend(request):
-    """Run kernel-touching tests under both backends."""
-    prev = kernels.get_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(prev)
-
 
 @pytest.fixture
 def rng():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,17 @@ def test_augment_nonpositive_count_exits_1(tmp_path, mini_data, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r", ["0", "65"])  # the mini trials have 64 samples
+def test_augment_segments_out_of_range_exits_2(tmp_path, mini_data, capsys, r):
+    out = tmp_path / "aug"
+    code = dispatch(["augment", "--data", str(mini_data), "--out", str(out),
+                     "--r", r, "--count", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "segments" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("batch", ["0", "-2"])
 def test_gradcheck_nonpositive_batch_exits_1(capsys, batch):
     assert dispatch(["gradcheck", "--preset", "mini", "--batch", batch]) == 1
@@ -142,11 +154,99 @@ def test_train_geometry_mismatch_exits_2(tmp_path, mini_data, capsys):
     assert "32" in err and "64" in err  # offending shapes named
 
 
-def test_train_unknown_config_key_exits_2(tmp_path, mini_data):
+def test_train_unknown_config_key_exits_2(tmp_path, mini_data, capsys):
     cfg = tmp_path / "unknown.json"
     cfg.write_text(json.dumps({"model": {"embed_dimension": 8}}))
     assert dispatch(["train", "--data", str(mini_data), "--out",
                      str(tmp_path / "x"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"model": 5}, id="model-not-object"),
+    pytest.param({"seed": "abc"}, id="seed-string"),
+    pytest.param({"seed": True}, id="seed-bool"),
+    pytest.param({"model": {"embed_dim": "x"}}, id="model-field-string"),
+    pytest.param({"train": {"lr_max": "fast"}}, id="train-field-string"),
+    pytest.param({"split": 3}, id="split-not-object"),
+    pytest.param({"split": {"k": "x"}}, id="split-field-string"),
+    pytest.param({"split": {"folds": 3}}, id="split-unknown-key"),
+    pytest.param({"preset": ["mini"]}, id="preset-not-string"),
+])
+def test_train_malformed_config_exits_2(tmp_path, mini_data, capsys, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert dispatch(["train", "--data", str(mini_data), "--out", str(out),
+                     "--preset", "mini", "--epochs", "1", "--config", str(cfg),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err
+    assert not out.exists()
+
+
+def test_config_checks_cover_every_field_type():
+    from dualtsst.cli import _JSON_CHECKS
+    from dualtsst.model import ModelConfig
+    from dualtsst.train import TrainConfig
+
+    types = {f.type for cls in (ModelConfig, TrainConfig, dataio.SplitPlan)
+             for f in dataclasses.fields(cls)}
+    assert types <= set(_JSON_CHECKS)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("synth", "--seed"), ("augment", "--seed"), ("train", "--seed"),
+    ("train", "--split-seed"), ("eval", "--split-seed"), ("gradcheck", "--seed"),
+])
+def test_negative_seed_flag_exits_1(tmp_path, mini_data, capsys, command, flag):
+    args = {
+        "synth": ["synth", "--preset", "mini"],
+        "augment": ["augment", "--data", str(mini_data), "--r", "8"],
+        "train": ["train", "--data", str(mini_data), "--preset", "mini", "--quiet"],
+        "eval": ["eval", "--model", str(tmp_path / "m.dtss"), "--data", str(mini_data)],
+        "gradcheck": ["gradcheck", "--preset", "mini"],
+    }[command]
+    out = tmp_path / "x"
+    if command != "gradcheck":
+        args += ["--out", str(out)]
+    assert dispatch(args + [flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"seed": -1}, {"train": {"seed": -1}},
+                                    {"split": {"seed": -1}}], ids=["top", "train", "split"])
+def test_train_negative_config_seed_exits_2(tmp_path, mini_data, capsys, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert dispatch(["train", "--data", str(mini_data), "--out", str(tmp_path / "x"),
+                     "--preset", "mini", "--split", "kfold", "--epochs", "1",
+                     "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be >= 0" in err
+
+
+def test_train_backend_flag_is_a_usage_error(tmp_path, mini_data, capsys):
+    assert dispatch(train_args(mini_data, tmp_path / "x", extra=["--backend", "numpy"])) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--backend" in err
+
+
+def test_resolved_config_with_backend_key_still_replays(tmp_path, mini_data):
+    """Resolved configs written while the kernels had a backend switch carry
+    a "backend" key; it is accepted and ignored."""
+    out1 = tmp_path / "r1"
+    assert dispatch(train_args(mini_data, out1)) == 0
+    resolved = json.loads((out1 / "resolved_config.json").read_text())
+    assert "backend" not in resolved
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**resolved, "backend": "numpy"}))
+    out2 = tmp_path / "r2"
+    assert dispatch(["train", "--data", str(mini_data), "--out", str(out2),
+                     "--config", str(old), "--quiet"]) == 0
+    assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
 
 
 def test_ablation_flags(tmp_path, mini_data):

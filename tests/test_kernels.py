@@ -87,7 +87,6 @@ def test_only_long_temporal_kernels_take_the_fft_path(monkeypatch, rng):
 
     for name in ("conv2d_forward_np", "conv2d_backward_input_np", "conv2d_backward_kernel_np"):
         monkeypatch.setattr(kernels, name, disabled)
-    monkeypatch.setattr(kernels, "_backend", "numpy")
 
     def run(w_shape, stride=ONE, groups=1):
         x = rng.normal(size=(1, 4, 3, 40))
@@ -232,7 +231,6 @@ def test_only_full_height_depthwise_kernels_skip_the_loop(monkeypatch, rng):
 
     for name in ("conv2d_forward_np", "conv2d_backward_input_np", "conv2d_backward_kernel_np"):
         monkeypatch.setattr(kernels, name, disabled)
-    monkeypatch.setattr(kernels, "_backend", "numpy")
 
     def run(w_shape, stride=ONE, groups=4):
         x = rng.normal(size=(2, 4, 3, 10))

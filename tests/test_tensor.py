@@ -30,27 +30,27 @@ def leaf(rng, *shape, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-def test_conv2d_hand_cross_correlation(backend):
+def test_conv2d_hand_cross_correlation():
     x = T.Tensor(np.array([1.0, 2, 3, 4, 5]).reshape(1, 1, 1, 5))
     k = T.Tensor(np.array([1.0, 0, -1]).reshape(1, 1, 1, 3))
     out = T.conv2d(x, k)
     np.testing.assert_array_equal(out.data.ravel(), [-2.0, -2.0, -2.0])
 
 
-def test_conv2d_pointwise_all_ones_is_channel_sum(backend, rng):
+def test_conv2d_pointwise_all_ones_is_channel_sum(rng):
     x = rng.normal(size=(2, 3, 4, 5))
     k = np.ones((1, 3, 1, 1))
     out = T.conv2d(T.Tensor(x), T.Tensor(k))
     np.testing.assert_allclose(out.data[:, 0], x.sum(axis=1), rtol=1e-12)
 
 
-def test_conv2d_branch1_geometry(backend, rng):
+def test_conv2d_branch1_geometry(rng):
     x = T.Tensor(rng.normal(size=(1, 1, 22, 1000)))
     k = T.Tensor(rng.normal(size=(40, 1, 1, 30)))
     assert T.conv2d(x, k).shape == (1, 40, 22, 971)
 
 
-def test_conv2d_depthwise_groups(backend, rng):
+def test_conv2d_depthwise_groups(rng):
     x = rng.normal(size=(1, 3, 4, 6))
     k = rng.normal(size=(3, 1, 4, 1))
     out = T.conv2d(T.Tensor(x), T.Tensor(k), groups=3)
@@ -82,30 +82,7 @@ def test_conv2d_shape_algebra(h, w, kh, kw, sh, sw):
     assert out.shape == (1, 1, (h - kh) // sh + 1, (w - kw) // sw + 1)
 
 
-def test_conv2d_backends_agree(rng):
-    from dualtsst import kernels
-
-    x = rng.normal(size=(2, 4, 5, 9))
-    k = rng.normal(size=(6, 2, 2, 3))
-    gout = rng.normal(size=(2, 6, 4, 4))
-    results = {}
-    prev = kernels.get_backend()
-    try:
-        for name in (["numba", "numpy"] if kernels.numba_available() else ["numpy"]):
-            kernels.set_backend(name)
-            results[name] = (
-                kernels.conv2d_forward(x, k, (1, 2), 2),
-                kernels.conv2d_backward_input(gout, k, x.shape, (1, 2), 2),
-                kernels.conv2d_backward_kernel(gout, x, k.shape, (1, 2), 2),
-            )
-    finally:
-        kernels.set_backend(prev)
-    if len(results) == 2:
-        for a, b in zip(results["numba"], results["numpy"]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-def test_conv2d_gradients(backend, rng):
+def test_conv2d_gradients(rng):
     x = leaf(rng, 2, 4, 5, 7)
     k = leaf(rng, 6, 2, 2, 3)
     fd_check(lambda: (T.conv2d(x, k, stride=(1, 2), groups=2) * 1.0).sum(), [x, k])
@@ -116,19 +93,19 @@ def test_conv2d_gradients(backend, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_avg_pool_hand(backend):
+def test_avg_pool_hand():
     x = T.Tensor(np.array([1.0, 2, 3, 4]).reshape(1, 1, 1, 4))
     out = T.avg_pool2d(x, 2, 2)
     np.testing.assert_array_equal(out.data.ravel(), [1.5, 3.5])
 
 
-def test_avg_pool_constant(backend):
+def test_avg_pool_constant():
     x = T.Tensor(np.full((1, 2, 3, 10), 7.25))
     out = T.avg_pool2d(x, 4, 3)
     np.testing.assert_allclose(out.data, 7.25, rtol=1e-15)
 
 
-def test_avg_pool_table_geometry(backend):
+def test_avg_pool_table_geometry():
     x = T.Tensor(np.zeros((1, 40, 1, 971)))
     assert T.avg_pool2d(x, 120, 12).shape == (1, 40, 1, 71)
 
@@ -138,7 +115,7 @@ def test_avg_pool_kernel_too_large():
         T.avg_pool2d(T.Tensor(np.zeros((1, 1, 1, 3))), 4, 1)
 
 
-def test_avg_pool_gradients(backend, rng):
+def test_avg_pool_gradients(rng):
     x = leaf(rng, 2, 3, 2, 11)
     fd_check(lambda: (T.avg_pool2d(x, 4, 3) * T.Tensor(np.ones((2, 3, 2, 3)) * 0.5)).sum(), [x])
 
@@ -150,27 +127,6 @@ def test_avg_pool_shape_algebra(w, k, s):
         return
     out = T.avg_pool2d(T.Tensor(np.zeros((1, 1, 1, w))), k, s)
     assert out.shape == (1, 1, 1, (w - k) // s + 1)
-
-
-def test_avg_pool_backends_agree(rng):
-    from dualtsst import kernels
-
-    x = rng.normal(size=(2, 3, 2, 17))
-    gout = rng.normal(size=(2, 3, 2, 5))
-    results = {}
-    prev = kernels.get_backend()
-    try:
-        for name in (["numba", "numpy"] if kernels.numba_available() else ["numpy"]):
-            kernels.set_backend(name)
-            results[name] = (
-                kernels.avgpool_forward(x, 5, 3),
-                kernels.avgpool_backward(gout, 5, 3, 17),
-            )
-    finally:
-        kernels.set_backend(prev)
-    if len(results) == 2:
-        for a, b in zip(results["numba"], results["numpy"]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +489,7 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad
 
 
-def test_forward_determinism(backend, rng):
+def test_forward_determinism(rng):
     x = rng.normal(size=(2, 3, 6, 8))
     k = rng.normal(size=(4, 3, 2, 3))
     a = T.conv2d(T.Tensor(x), T.Tensor(k), stride=(2, 1)).data
