@@ -13,7 +13,6 @@ import numpy as np
 
 from .dataio import TrialSet
 from .errors import DataError
-from .signal import EegTrial, TfrTrial
 
 
 def segment_bounds(n_times: int, segments: int) -> list:
@@ -32,7 +31,7 @@ def segment_bounds(n_times: int, segments: int) -> list:
 
 def segment_reassemble(pool: TrialSet, label: int, segments: int,
                        rng: np.random.Generator):
-    """Build one augmented (EegTrial, TfrTrial) pair for ``label``.
+    """Build one augmented trial of class ``label``: (eeg [ch, T], tfr [ch, F, T]).
 
     Donors are drawn with replacement, uniformly per segment, from the
     same-class trials in ``pool``; the two views always share the donor.
@@ -49,34 +48,27 @@ def segment_reassemble(pool: TrialSet, label: int, segments: int,
         donor = donors[rng.integers(0, donors.size)]
         eeg[:, start:stop] = pool.eeg[donor, :, start:stop]
         tfr[:, :, start:stop] = pool.tfr[donor, :, :, start:stop]
-    return (
-        EegTrial(data=eeg, fs=pool.fs, label=label),
-        TfrTrial(data=tfr, freqs=pool.freqs, fs=pool.fs, label=label),
-    )
+    return eeg, tfr
 
 
-def augment_batch(batch: TrialSet, segments: int, rng: np.random.Generator,
-                  count: int | None = None):
-    """Generate ``count`` augmented samples (default: the batch size) from a
-    batch, class-balanced over the classes present in it.
+def augment_batch(batch: TrialSet, segments: int, rng: np.random.Generator):
+    """Generate one augmented sample per batch trial, class-balanced over the
+    classes present in the batch.
 
-    Returns (eeg [m, ch, T], tfr [m, ch, F, T], labels [m]).
+    Returns (eeg [n, ch, T], tfr [n, ch, F, T], labels [n]).
     """
     if batch.tfr is None:
         raise DataError("augmentation needs a TrialSet with TFR sidecars")
-    if count is None:
-        count = len(batch)
+    count = len(batch)
     present = np.unique(batch.labels)
     base, extra = divmod(count, present.size)
-    eeg = np.empty((count,) + batch.eeg.shape[1:])
-    tfr = np.empty((count,) + batch.tfr.shape[1:])
+    eeg = np.empty_like(batch.eeg)
+    tfr = np.empty_like(batch.tfr)
     labels = np.empty(count, dtype=np.int64)
     i = 0
     for j, label in enumerate(present):
         for _ in range(base + (1 if j < extra else 0)):
-            e, t = segment_reassemble(batch, int(label), segments, rng)
-            eeg[i] = e.data
-            tfr[i] = t.data
+            eeg[i], tfr[i] = segment_reassemble(batch, int(label), segments, rng)
             labels[i] = label
             i += 1
     return eeg, tfr, labels

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import augment as aug
 from . import dataio, metrics, train as training
+from .dataio import _is_int, _is_num
 from .errors import DataError, DualTsstError, NumericalError, UsageError
 from .gradcheck import check_gradients
 from .model import DualTsstModel, ModelConfig, config_from_preset
@@ -61,16 +62,12 @@ def _parse_classes(text):
     """'8:0+1,20:2+3' -> two classes; channels default to all when omitted."""
     classes = []
     for part in text.split(","):
-        if ":" in part:
-            freq_s, ch_s = part.split(":", 1)
-            channels = tuple(int(c) for c in ch_s.split("+"))
-        else:
-            freq_s, channels = part, None
+        freq_s, colon, ch_s = part.partition(":")
         try:
-            freq = float(freq_s)
+            channels = tuple(int(c) for c in ch_s.split("+")) if colon else None
+            classes.append(dataio.SynthClass(float(freq_s), channels))
         except ValueError:
             raise UsageError(f"cannot parse class spec {part!r}")
-        classes.append(dataio.SynthClass(freq, channels))
     return classes
 
 
@@ -100,6 +97,10 @@ def _cmd_synth(args) -> int:
         classes = list(p.synth_classes)
     else:
         raise UsageError("--classes is required unless the preset defines them")
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if not args.noise >= 0:
+        raise UsageError(f"--noise must be >= 0, got {args.noise}")
     ts = dataio.synth(args.n, ch, n_times, fs, classes, noise=args.noise, seed=args.seed)
     dataio.write_dataset(args.out, ts, name=args.name)
     _write_resolved(args.out, {
@@ -122,6 +123,8 @@ def _cmd_transform(args) -> int:
     freq_lo = args.freq_lo if args.freq_lo is not None else (p.freq_lo if p else 1.0)
     freq_hi = args.freq_hi if args.freq_hi is not None else (p.freq_hi if p else 40.0)
     freq_step = args.freq_step if args.freq_step is not None else (p.freq_step if p else 1.0)
+    if not 0 < freq_step < float("inf"):
+        raise UsageError(f"--freq-step must be a positive finite number, got {freq_step}")
     window = _parse_window(args.window) if args.window else (p.window if p else None)
     band = _parse_window(args.band) if args.band else (p.band if p else None)
     freqs = np.arange(freq_lo, freq_hi + 1e-9, freq_step)
@@ -143,23 +146,18 @@ def _cmd_augment(args) -> int:
     manifest = dataio.load_manifest(args.data)
     pool = dataio.load_trialset(args.data, require_tfr=True, normalize=False,
                                 manifest=manifest)
+    if not 1 <= args.r <= pool.n_times:
+        raise DataError(f"--r must be in [1, {pool.n_times}] segments for "
+                        f"{pool.n_times}-sample trials, got {args.r}")
     rng = np.random.default_rng(args.seed)
     classes = sorted(int(c) for c in np.unique(pool.labels))
-    eeg_out, tfr_out, labels_out = [], [], []
-    for i in range(args.count):
-        label = classes[i % len(classes)]
-        e, t = aug.segment_reassemble(pool, label, args.r, rng)
-        eeg_out.append(e.data)
-        tfr_out.append(t.data)
-        labels_out.append(label)
-    out_set = dataio.TrialSet(
-        eeg=np.stack(eeg_out),
-        labels=np.asarray(labels_out),
-        fs=pool.fs,
-        tfr=np.stack(tfr_out),
-        freqs=pool.freqs,
-        class_names=manifest.class_names,
-    )
+    labels = [classes[i % len(classes)] for i in range(args.count)]
+    eeg = np.empty((args.count,) + pool.eeg.shape[1:])
+    tfr = np.empty((args.count,) + pool.tfr.shape[1:])
+    for i, label in enumerate(labels):
+        eeg[i], tfr[i] = aug.segment_reassemble(pool, label, args.r, rng)
+    out_set = dataio.TrialSet(eeg=eeg, labels=np.asarray(labels), fs=pool.fs, tfr=tfr,
+                              freqs=pool.freqs, class_names=manifest.class_names)
     dataio.write_dataset(args.out, out_set, name=manifest.name + "-augmented")
     _write_resolved(args.out, {
         "command": "augment",
@@ -172,14 +170,10 @@ def _cmd_augment(args) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # config field annotation -> whether a JSON value fits it
 _JSON_CHECKS = {
     "int": _is_int,
-    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "float": _is_num,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
 }

@@ -9,9 +9,12 @@ Tensor file format (little endian):
 
     magic  b"EEGT"
     u32    version (1)
-    u8     ndim
+    u8     ndim                                       (the tensor record)
     u32    extent per dim (row-major payload order)
     f32    payload
+
+Checkpoints (``model.DualTsstModel.save``) store each tensor as the same
+record; ``pack_record`` writes it and ``ByteCursor.record`` reads it.
 
 The sidecar cache key is the frequency grid plus the band/window used to
 preprocess; changing either invalidates the cache.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,50 +46,82 @@ _MAX_NDIM = 8
 # ---------------------------------------------------------------------------
 
 
+def pack_record(arr, dtype) -> bytes:
+    """One tensor record: u8 ndim, ndim x u32 extents, then the row-major
+    little-endian payload in ``dtype``."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    if arr.ndim < 1 or arr.ndim > _MAX_NDIM or 0 in arr.shape:
+        raise DataError(f"cannot store an array of shape {arr.shape}")
+    # appending the buffer copies the payload once; arr.tobytes() would copy it twice
+    return struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.data
+
+
+class ByteCursor:
+    """Bounds-checked reader over one file's bytes: reading past the end, or
+    a malformed tensor record, is a DataError naming the file."""
+
+    def __init__(self, blob: bytes, path):
+        self.blob, self.path, self.off = blob, path, 0
+
+    def _advance(self, size: int, what: str) -> int:
+        start = self.off
+        if start + size > len(self.blob):
+            raise DataError(f"{self.path}: truncated: {what} needs {size} bytes "
+                            f"at offset {start}, file has {len(self.blob)}")
+        self.off = start + size
+        return start
+
+    def take(self, size: int, what: str) -> bytes:
+        start = self._advance(size, what)
+        return self.blob[start : self.off]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt), what))
+
+    def record(self, dtype, what: str) -> np.ndarray:
+        """Read one tensor record (see ``pack_record``) as a read-only view."""
+        (ndim,) = self.unpack("<B", f"{what} ndim")
+        if ndim < 1 or ndim > _MAX_NDIM:
+            raise DataError(f"{self.path}: {what} has bad ndim {ndim}")
+        shape = self.unpack(f"<{ndim}I", f"{what} shape")
+        count = 1
+        for e in shape:
+            count *= e
+            if e < 1 or count > _MAX_EXTENT:
+                raise DataError(f"{self.path}: {what} has a zero extent or extent "
+                                f"overflow in shape {shape}")
+        dtype = np.dtype(dtype)
+        start = self._advance(count * dtype.itemsize, f"{what} payload")
+        return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start).reshape(shape)
+
+    def finish(self) -> None:
+        if self.off != len(self.blob):
+            raise DataError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")
+
+
 def write_array(path, arr) -> None:
     """Write an array as 32-bit little-endian floats with a shape header."""
-    arr = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
-    if arr.ndim < 1 or arr.ndim > _MAX_NDIM:
-        raise DataError(f"cannot store a {arr.ndim}-d array")
+    record = pack_record(arr, "<f4")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IB", VERSION, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
+        fh.write(MAGIC + struct.pack("<I", VERSION))
+        fh.write(record)
 
 
 def read_array(path) -> np.ndarray:
     """Read a tensor file; returns float32 with the stored shape."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 9:
-        raise DataError(f"{path}: truncated header")
-    version, ndim = struct.unpack_from("<IB", blob, 4)
+    rd = ByteCursor(path.read_bytes(), path)
+    magic = rd.take(4, "magic")
+    if magic != MAGIC:
+        raise DataError(f"{path}: bad magic {magic!r}")
+    (version,) = rd.unpack("<I", "version")
     if version != VERSION:
         raise DataError(f"{path}: unsupported version {version}")
-    if ndim < 1 or ndim > _MAX_NDIM:
-        raise DataError(f"{path}: bad ndim {ndim}")
-    off = 9
-    if len(blob) < off + 4 * ndim:
-        raise DataError(f"{path}: truncated shape header")
-    shape = struct.unpack_from(f"<{ndim}I", blob, off)
-    off += 4 * ndim
-    count = 1
-    for e in shape:
-        if e < 1 or e > _MAX_EXTENT:
-            raise DataError(f"{path}: extent overflow in shape {shape}")
-        count *= e
-        if count > _MAX_EXTENT:
-            raise DataError(f"{path}: extent overflow in shape {shape}")
-    if len(blob) != off + 4 * count:
-        raise DataError(
-            f"{path}: payload is {len(blob) - off} bytes, shape {shape} needs {4 * count}"
-        )
-    return np.frombuffer(blob, dtype="<f4", offset=off).reshape(shape).copy()
+    arr = rd.record("<f4", "tensor")
+    rd.finish()
+    return arr.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +219,56 @@ class DatasetManifest:
     tfr: dict | None = None  # {"freqs": [...], "suffix": ".tfr.eegt"}
 
     def validate(self) -> None:
-        if self.n_classes < 1:
-            raise DataError("n_classes must be >= 1")
-        if len(self.class_names) != self.n_classes:
-            raise DataError("class_names length does not match n_classes")
+        """Check every field's JSON type and range; a bad one is a DataError."""
+        _require(isinstance(self.name, str), "name", self.name, "a string")
+        _require(_is_num(self.fs) and math.isfinite(self.fs) and self.fs > 0, "fs", self.fs,
+                 "a positive finite number")
+        _require(_is_strs(self.channels), "channels", self.channels, "a list of strings")
+        _require(_is_int(self.n_classes) and self.n_classes >= 1, "n_classes", self.n_classes,
+                 "an integer >= 1")
+        _require(_is_strs(self.class_names) and len(self.class_names) == self.n_classes,
+                 "class_names", self.class_names, f"a list of {self.n_classes} strings")
+        pre = self.preprocess
+        _require(pre is None or (isinstance(pre, dict) and _is_pair(pre.get("band"))
+                                 and _is_pair(pre.get("window"))),
+                 "preprocess", pre, "null or an object whose band and window are null "
+                 "or two numbers")
+        freqs = self.tfr.get("freqs") if isinstance(self.tfr, dict) else None
+        _require(self.tfr is None or (isinstance(freqs, list) and all(map(_is_num, freqs))),
+                 "tfr", self.tfr, "null or an object whose freqs are a list of numbers")
         if not self.trials:
             raise DataError("manifest lists no trials")
         for t in self.trials:
-            if not 0 <= t.label < self.n_classes:
-                raise DataError(f"{t.file}: label {t.label} out of range [0, {self.n_classes})")
-            if t.split not in (None, "train", "test"):
-                raise DataError(f"{t.file}: unknown split tag {t.split!r}")
+            _require(isinstance(t.file, str), "trial file", t.file, "a string")
+            _require(_is_int(t.label) and 0 <= t.label < self.n_classes, f"{t.file}: label",
+                     t.label, f"an integer in [0, {self.n_classes})")
+            _require(isinstance(t.subject, str) and isinstance(t.session, str),
+                     f"{t.file}: subject/session", (t.subject, t.session), "strings")
+            _require(t.split in (None, "train", "test"), f"{t.file}: split tag", t.split,
+                     "null, 'train' or 'test'")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_num(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_strs(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_pair(value) -> bool:
+    """null, or two numbers (a band in Hz or a window in seconds)."""
+    return value is None or (isinstance(value, (list, tuple)) and len(value) == 2
+                             and all(map(_is_num, value)))
+
+
+def _require(ok: bool, field: str, value, expected: str) -> None:
+    if not ok:
+        raise DataError(f"{field} must be {expected}, got {value!r}")
 
 
 def save_manifest(dataset_dir, manifest: DatasetManifest) -> None:
@@ -209,15 +284,20 @@ def load_manifest(dataset_dir) -> DatasetManifest:
     if not path.exists():
         raise DataError(f"no manifest.json in {dataset_dir}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
     try:
         trials = [TrialEntry(**t) for t in raw.pop("trials")]
         manifest = DatasetManifest(trials=trials, **raw)
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed manifest ({exc})") from exc
-    manifest.validate()
+    try:
+        manifest.validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return manifest
 
 
@@ -321,6 +401,23 @@ def write_dataset(dataset_dir, trials: TrialSet, name: str = "dataset",
     return manifest
 
 
+def _read_trial(dataset_dir: Path, file: str, fs: float, preprocess) -> np.ndarray:
+    """Read one raw trial [ch, T] as float64, then apply the ``preprocess``
+    band filter and window (each None to skip)."""
+    path = dataset_dir / file
+    if not path.exists():
+        raise DataError(f"missing trial file {path}")
+    x = read_array(path).astype(np.float64)
+    if x.ndim != 2:
+        raise DataError(f"{file}: trial must be [ch, T], got {x.shape}")
+    pre = preprocess or {}
+    if pre.get("band") is not None:
+        x = signal.bandpass_array(x, fs, *pre["band"])
+    if pre.get("window") is not None:
+        x = signal.epoch_array(x, fs, *pre["window"])
+    return x
+
+
 def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = False) -> int:
     """Compute Morlet-power sidecars for every trial; returns how many were written.
 
@@ -346,13 +443,7 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
         out_path = _tfr_path(dataset_dir, entry.file)
         if unchanged and out_path.exists() and not force:
             continue
-        x = read_array(dataset_dir / entry.file).astype(np.float64)
-        if x.ndim != 2:
-            raise DataError(f"{entry.file}: trial must be [ch, T], got {x.shape}")
-        if band is not None:
-            x = signal.bandpass_array(x, manifest.fs, band[0], band[1])
-        if window is not None:
-            x = signal.epoch_array(x, manifest.fs, window[0], window[1])
+        x = _read_trial(dataset_dir, entry.file, manifest.fs, preprocess)
         write_array(out_path, signal.morlet_power(x, plan))
         written += 1
     manifest.tfr = settings
@@ -377,24 +468,10 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
         raise DataError(
             f"{dataset_dir}: no TFR sidecars; run the 'transform' command first"
         )
-    band = window = None
-    if manifest.preprocess:
-        band = manifest.preprocess.get("band")
-        window = manifest.preprocess.get("window")
-
     eeg, tfrs = [], []
     shape0 = None
     for entry in manifest.trials:
-        path = dataset_dir / entry.file
-        if not path.exists():
-            raise DataError(f"missing trial file {path}")
-        x = read_array(path).astype(np.float64)
-        if x.ndim != 2:
-            raise DataError(f"{entry.file}: trial must be [ch, T], got {x.shape}")
-        if band is not None:
-            x = signal.bandpass_array(x, manifest.fs, band[0], band[1])
-        if window is not None:
-            x = signal.epoch_array(x, manifest.fs, window[0], window[1])
+        x = _read_trial(dataset_dir, entry.file, manifest.fs, manifest.preprocess)
         if shape0 is None:
             shape0 = x.shape
         elif x.shape != shape0:
@@ -431,12 +508,10 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
     )
 
 
-def load_dataset(dataset_dir, plan: SplitPlan, require_tfr: bool = False,
-                 normalize: bool = True):
+def load_dataset(dataset_dir, plan: SplitPlan, require_tfr: bool = False):
     """Load a dataset directory and split it into (train, test) TrialSets."""
     manifest = load_manifest(dataset_dir)
-    full = load_trialset(dataset_dir, require_tfr=require_tfr, normalize=normalize,
-                         manifest=manifest)
+    full = load_trialset(dataset_dir, require_tfr=require_tfr, manifest=manifest)
     tags = [t.split for t in manifest.trials]
     train_idx, test_idx = split_indices(len(full), plan, tags=tags)
     return full.subset(train_idx), full.subset(test_idx)

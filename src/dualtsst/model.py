@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .dataio import ByteCursor, pack_record
 from .errors import DataError
 from .tensor import Tensor
 
@@ -111,8 +111,9 @@ class ModelConfig:
         if not (self.use_branch1 or self.use_branch2_input1 or self.use_branch2_input2):
             raise DataError("all branches disabled; at least one input must remain")
         if self.use_transformer:
-            if self.encoder_layers < 1:
-                raise DataError("encoder_layers must be >= 1 when the transformer is enabled")
+            for name in ("encoder_layers", "encoder_heads", "encoder_mlp_ratio"):
+                if getattr(self, name) < 1:
+                    raise DataError(f"{name} must be >= 1 when the transformer is enabled")
             if self.embed_dim % self.encoder_heads:
                 raise DataError(
                     f"embed_dim={self.embed_dim} not divisible by heads={self.encoder_heads}"
@@ -463,12 +464,10 @@ class DualTsstModel:
             fh.write(struct.pack("<I", len(entries)))
             for name, arr in entries:
                 nb = name.encode()
-                arr = np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPES[code])
                 fh.write(struct.pack("<I", len(nb)))
                 fh.write(nb)
-                fh.write(struct.pack("<BB", code, arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
+                fh.write(struct.pack("<B", code))
+                fh.write(pack_record(arr, _PAYLOAD_DTYPES[code]))
 
     @classmethod
     def load(cls, path, dtype=np.float64) -> "DualTsstModel":
@@ -476,7 +475,7 @@ class DualTsstModel:
         tensor to ``dtype``.  A truncated or garbled file, or one made for
         another configuration, raises DataError."""
         path = Path(path)
-        rd = _Reader(path.read_bytes(), path)
+        rd = ByteCursor(path.read_bytes(), path)
         magic = rd.take(4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: bad checkpoint magic {magic!r}")
@@ -500,8 +499,6 @@ class DualTsstModel:
             code = rd.unpack("<B", f"{name} dtype code")[0] if version == 2 else 1
             if code not in _PAYLOAD_DTYPES:
                 raise DataError(f"{path}: {name} has unknown dtype code {code}")
-            (ndim,) = rd.unpack("<B", f"{name} rank")
-            shape = rd.unpack(f"<{ndim}I", f"{name} shape")
             if name in model.params:
                 target = model.params[name].data
             elif name in model.buffers:
@@ -510,44 +507,16 @@ class DualTsstModel:
                 raise DataError(f"{path}: unknown tensor {name!r} for this configuration")
             if name in seen:
                 raise DataError(f"{path}: tensor {name!r} stored twice")
-            if target.shape != shape:
-                raise DataError(f"{path}: {name} has shape {shape}, expected {target.shape}")
-            arr = rd.array(_PAYLOAD_DTYPES[code], shape, name)
+            arr = rd.record(_PAYLOAD_DTYPES[code], name)
+            if target.shape != arr.shape:
+                raise DataError(f"{path}: {name} has shape {arr.shape}, expected {target.shape}")
             if name in model.params:
                 model.params[name].data = arr.astype(dtype)
             else:
                 target[...] = arr
             seen.add(name)
-        if rd.off != len(rd.blob):
-            raise DataError(f"{path}: {len(rd.blob) - rd.off} trailing bytes after the tensors")
+        rd.finish()
         missing = (set(model.params) | set(model.buffers)) - seen
         if missing:
             raise DataError(f"{path}: checkpoint is missing tensors: {sorted(missing)}")
         return model
-
-
-class _Reader:
-    """Cursor over a checkpoint's bytes; reading past the end is a DataError."""
-
-    def __init__(self, blob: bytes, path: Path):
-        self.blob, self.path, self.off = blob, path, 0
-
-    def _advance(self, size: int, what: str) -> int:
-        start = self.off
-        if start + size > len(self.blob):
-            raise DataError(f"{self.path}: truncated checkpoint: {what} needs {size} bytes "
-                            f"at offset {start}, file has {len(self.blob)}")
-        self.off = start + size
-        return start
-
-    def take(self, size: int, what: str) -> bytes:
-        start = self._advance(size, what)
-        return self.blob[start : self.off]
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt), what))
-
-    def array(self, dtype: np.dtype, shape: tuple, what: str) -> np.ndarray:
-        count = math.prod(shape)
-        start = self._advance(count * dtype.itemsize, what)
-        return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start).reshape(shape)

@@ -28,50 +28,6 @@ ZSCORE_GUARD = 1e-12
 
 
 @dataclass
-class EegTrial:
-    """One trial of multichannel EEG, [channels, time] in microvolts."""
-
-    data: np.ndarray
-    fs: float
-    label: int | None = None
-    subject: str | None = None
-    session: str | None = None
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise DataError(f"EEG trial must be [ch, T] with ch,T >= 1, got {self.data.shape}")
-        if self.fs <= 0:
-            raise DataError(f"sampling rate must be positive, got {self.fs}")
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_times(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
-class TfrTrial:
-    """Time-frequency power of one trial, [channels, freqs, time]."""
-
-    data: np.ndarray
-    freqs: np.ndarray
-    fs: float
-    label: int | None = None
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        self.freqs = np.asarray(self.freqs, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise DataError(f"TFR trial must be [ch, F, T], got shape {self.data.shape}")
-        if self.data.shape[1] != self.freqs.size:
-            raise DataError("TFR frequency axis does not match the frequency grid")
-
-
-@dataclass
 class MorletPlan:
     """Per-frequency complex Morlet taps for a fixed sampling rate."""
 
@@ -133,16 +89,6 @@ def bandpass_array(x: np.ndarray, fs: float, f_lo: float, f_hi: float) -> np.nda
     return np.fft.irfft(spec, n=x.shape[-1], axis=-1)
 
 
-def bandpass(trial: EegTrial, f_lo: float, f_hi: float) -> EegTrial:
-    return EegTrial(
-        data=bandpass_array(trial.data, trial.fs, f_lo, f_hi),
-        fs=trial.fs,
-        label=trial.label,
-        subject=trial.subject,
-        session=trial.session,
-    )
-
-
 def epoch_array(x: np.ndarray, fs: float, t_start: float, t_end: float) -> np.ndarray:
     """Extract the window [t_start, t_end) seconds; round((t_end-t_start)*fs) samples."""
     x = np.asarray(x)
@@ -156,16 +102,6 @@ def epoch_array(x: np.ndarray, fs: float, t_start: float, t_end: float) -> np.nd
             f"window [{t_start}, {t_end}] s needs {i0 + n} samples, recording has {total}"
         )
     return np.array(x[..., i0 : i0 + n])
-
-
-def epoch(trial: EegTrial, t_start: float, t_end: float) -> EegTrial:
-    return EegTrial(
-        data=epoch_array(trial.data, trial.fs, t_start, t_end),
-        fs=trial.fs,
-        label=trial.label,
-        subject=trial.subject,
-        session=trial.session,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +148,6 @@ def morlet_power(x: np.ndarray, plan: MorletPlan) -> np.ndarray:
             conv = np.fft.ifft(spec * wspec, axis=-1)[:, k - 1 : k - 1 + n_t]
             out[:, i, :] = conv.real ** 2 + conv.imag ** 2
     return out
-
-
-def morlet_tfr(trial: EegTrial, plan: MorletPlan) -> TfrTrial:
-    if abs(plan.fs - trial.fs) > 1e-9:
-        raise DataError(f"plan fs {plan.fs} does not match trial fs {trial.fs}")
-    return TfrTrial(
-        data=morlet_power(trial.data, plan),
-        freqs=plan.freqs,
-        fs=trial.fs,
-        label=trial.label,
-    )
 
 
 # ---------------------------------------------------------------------------

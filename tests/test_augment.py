@@ -47,8 +47,8 @@ def test_single_donor_pool_is_identity():
     pool = make_pool(n=1)
     for r in (1, 3, 8):
         eeg, tfr = augment.segment_reassemble(pool, 0, r, np.random.default_rng(0))
-        np.testing.assert_array_equal(eeg.data, pool.eeg[0])
-        np.testing.assert_array_equal(tfr.data, pool.tfr[0])
+        np.testing.assert_array_equal(eeg, pool.eeg[0])
+        np.testing.assert_array_equal(tfr, pool.tfr[0])
 
 
 def test_r1_copies_one_donor_in_both_views():
@@ -56,7 +56,7 @@ def test_r1_copies_one_donor_in_both_views():
     eeg, tfr = augment.segment_reassemble(pool, 0, 1, np.random.default_rng(5))
     matches = [
         i for i in range(4)
-        if np.array_equal(eeg.data, pool.eeg[i]) and np.array_equal(tfr.data, pool.tfr[i])
+        if np.array_equal(eeg, pool.eeg[i]) and np.array_equal(tfr, pool.tfr[i])
     ]
     assert len(matches) == 1
 
@@ -65,19 +65,19 @@ def test_scripted_draw_sequence():
     pool = make_pool(n=2, t=8)
     a, b = 0, 1
     eeg, tfr = augment.segment_reassemble(pool, 0, 4, ScriptedRng([a, b, b, a]))
-    np.testing.assert_array_equal(eeg.data[:, 0:2], pool.eeg[a][:, 0:2])
-    np.testing.assert_array_equal(eeg.data[:, 2:4], pool.eeg[b][:, 2:4])
-    np.testing.assert_array_equal(eeg.data[:, 4:6], pool.eeg[b][:, 4:6])
-    np.testing.assert_array_equal(eeg.data[:, 6:8], pool.eeg[a][:, 6:8])
-    np.testing.assert_array_equal(tfr.data[:, :, 0:2], pool.tfr[a][:, :, 0:2])
-    np.testing.assert_array_equal(tfr.data[:, :, 6:8], pool.tfr[a][:, :, 6:8])
+    np.testing.assert_array_equal(eeg[:, 0:2], pool.eeg[a][:, 0:2])
+    np.testing.assert_array_equal(eeg[:, 2:4], pool.eeg[b][:, 2:4])
+    np.testing.assert_array_equal(eeg[:, 4:6], pool.eeg[b][:, 4:6])
+    np.testing.assert_array_equal(eeg[:, 6:8], pool.eeg[a][:, 6:8])
+    np.testing.assert_array_equal(tfr[:, :, 0:2], pool.tfr[a][:, :, 0:2])
+    np.testing.assert_array_equal(tfr[:, :, 6:8], pool.tfr[a][:, :, 6:8])
 
 
 def test_every_sample_comes_from_a_same_class_donor():
     pool = make_pool(n=3, t=10)
     eeg, _ = augment.segment_reassemble(pool, 0, 3, np.random.default_rng(9))
     for t in range(10):
-        column = eeg.data[:, t]
+        column = eeg[:, t]
         assert any(np.array_equal(column, pool.eeg[i][:, t]) for i in range(3))
 
 
@@ -94,8 +94,8 @@ def test_paired_views_share_donor_and_boundaries():
     e, w = augment.segment_reassemble(pool, 0, 5, np.random.default_rng(11))
     bounds = augment.segment_bounds(t, 5)
     for start, stop in bounds:
-        seg_eeg = e.data[:, start:stop]
-        seg_tfr = w.data[:, :, start:stop]
+        seg_eeg = e[:, start:stop]
+        seg_tfr = w[:, :, start:stop]
         # one donor per segment, identical across channels and across views
         assert np.unique(seg_eeg).size == 1
         assert np.unique(seg_tfr).size == 1
@@ -106,8 +106,8 @@ def test_reproducible_with_fixed_seed():
     pool = make_pool(n=5, t=16)
     out1 = augment.segment_reassemble(pool, 0, 4, np.random.default_rng(123))
     out2 = augment.segment_reassemble(pool, 0, 4, np.random.default_rng(123))
-    assert np.array_equal(out1[0].data, out2[0].data)
-    assert np.array_equal(out1[1].data, out2[1].data)
+    assert np.array_equal(out1[0], out2[0])
+    assert np.array_equal(out1[1], out2[1])
 
 
 def test_errors():
@@ -136,6 +136,8 @@ def test_augment_batch_is_class_balanced():
     counts = np.bincount(labels, minlength=3)
     np.testing.assert_array_equal(counts, [2, 2, 2])
 
-    eeg7, _, labels7 = augment.augment_batch(pool, 4, np.random.default_rng(1), count=7)
+    # an odd-sized batch: the first classes present absorb the remainder
+    odd = pool.subset([0, 1, 2, 3, 4, 5, 0])
+    eeg7, _, labels7 = augment.augment_batch(odd, 4, np.random.default_rng(1))
     assert eeg7.shape[0] == 7
     assert np.bincount(labels7, minlength=3).tolist() == [3, 2, 2]

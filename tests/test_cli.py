@@ -25,7 +25,8 @@ def train_args(data, out, extra=()):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert dispatch(["frobnicate"]) == 1
-    assert "usage" in capsys.readouterr().err.lower() or True
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid choice: 'frobnicate'" in err
 
 
 def test_no_subcommand_exits_1():
@@ -88,8 +89,43 @@ def test_augment_segments_out_of_range_exits_2(tmp_path, mini_data, capsys, r):
                      "--r", r, "--count", "2"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "segments" in err
+    assert err.count("\n") == 1 and "--r must be in [1, 64] segments" in err
+    assert f"got {r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(["synth", "--preset", "mini", "--classes", "8:a"], "'8:a'", id="classes-channel"),
+    pytest.param(["synth", "--preset", "mini", "--classes", "8:"], "'8:'", id="classes-empty"),
+    pytest.param(["synth", "--preset", "mini", "--noise", "-1"], "--noise", id="noise-negative"),
+    pytest.param(["synth", "--preset", "mini", "--n", "-1"], "--n", id="n-negative"),
+    pytest.param(["transform", "--preset", "mini", "--freq-step", "0"], "--freq-step",
+                 id="freq-step-zero"),
+    pytest.param(["transform", "--preset", "mini", "--freq-step", "inf"], "--freq-step",
+                 id="freq-step-inf"),
+])
+def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    target = ["--data" if argv[0] == "transform" else "--out", str(out)]
+    assert dispatch(argv + target) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+    assert not out.exists()
+
+
+def test_synth_zero_samples_exits_2(tmp_path, capsys):
+    assert dispatch(["synth", "--out", str(tmp_path / "d"), "--preset", "mini", "--t", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "(4, 0)" in err
+
+
+def test_transform_missing_trial_file_exits_2(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert dispatch(["synth", "--out", str(data), "--preset", "mini", "--n", "2"]) == 0
+    (data / "trials" / "trial_0001.eegt").unlink()
+    assert dispatch(["transform", "--data", str(data), "--preset", "mini"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing trial file" in err
 
 
 @pytest.mark.parametrize("batch", ["0", "-2"])

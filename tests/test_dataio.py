@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from dualtsst import dataio, signal
 from dualtsst.errors import DataError
+from dualtsst.model import DualTsstModel, config_from_preset
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +228,79 @@ def test_missing_trial_file(tmp_path):
     (tmp_path / "trials" / "trial_0000.eegt").unlink()
     with pytest.raises(DataError, match="missing"):
         dataio.load_trialset(tmp_path)
+
+
+def _set(path, value):
+    """Manifest edit: set the JSON value at ``path`` (a tuple of keys)."""
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return json.dumps(raw).encode()
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set(("trials", 0, "label"), "x"), id="label-string"),
+    pytest.param(_set(("trials", 0, "label"), True), id="label-bool"),
+    pytest.param(_set(("n_classes",), "2"), id="n_classes-string"),
+    pytest.param(_set(("fs",), "abc"), id="fs-string"),
+    pytest.param(_set(("fs",), -128.0), id="fs-negative"),
+    pytest.param(_set(("tfr",), {"freqs": "ab"}), id="tfr-freqs-string"),
+    pytest.param(_set(("trials", 0, "file"), 5), id="file-number"),
+    pytest.param(_set(("preprocess",), {"band": [1, 2, 3], "window": None}), id="band-three"),
+    pytest.param(_set(("preprocess",), {"band": None, "window": ["a", 1]}), id="window-string"),
+    pytest.param(_set(("class_names",), [0, 1]), id="class_names-numbers"),
+    pytest.param(lambda raw: b"\xff" + json.dumps(raw).encode(), id="not-utf8"),
+    pytest.param(lambda raw: b"[]", id="not-an-object"),
+])
+def test_malformed_manifest_is_a_one_line_data_error(tmp_path, edit):
+    make_dataset(tmp_path, n_per_class=1)
+    path = tmp_path / "manifest.json"
+    path.write_bytes(edit(json.loads(path.read_text())))
+    with pytest.raises(DataError) as info:
+        dataio.load_manifest(tmp_path)
+    message = str(info.value)
+    assert str(path) in message and "\n" not in message
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A small dataset with sidecars and a mini checkpoint: the dataset root,
+    and per file kind the file's path and its intact bytes."""
+    root = tmp_path_factory.mktemp("pristine")
+    make_dataset(root, n_per_class=1)
+    model = DualTsstModel(config_from_preset(dataio.preset("mini")),
+                          rng=np.random.default_rng(0))
+    model.save(root / "model.dtss")
+    files = {"eegt": root / "trials" / "trial_0000.eegt", "dtss": root / "model.dtss",
+             "manifest": root / "manifest.json"}
+    return root, {kind: (path, path.read_bytes()) for kind, path in files.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["eegt", "dtss", "manifest"]), truncate=st.booleans(),
+       where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
+def test_truncated_or_bit_flipped_files_raise_only_data_error(pristine, kind, truncate,
+                                                              where, bit):
+    root, files = pristine
+    path, blob = files[kind]
+    pos = int(where * len(blob))
+    if truncate:
+        bad = blob[:pos]
+    else:
+        bad = blob[:pos] + bytes([blob[pos] ^ (1 << bit)]) + blob[pos + 1 :]
+    load = {"eegt": lambda: dataio.read_array(path),
+            "dtss": lambda: DualTsstModel.load(path),
+            "manifest": lambda: dataio.load_trialset(root, require_tfr=True)}[kind]
+    path.write_bytes(bad)
+    try:
+        load()
+    except DataError:
+        pass
+    finally:
+        path.write_bytes(blob)
 
 
 def test_session_split_through_manifest(tmp_path):

@@ -80,6 +80,9 @@ def test_config_validation_errors():
         ModelConfig(n_channels=4, n_times=64, n_freqs=6, n_classes=2,
                     use_branch1=False, use_branch2_input1=False,
                     use_branch2_input2=False).validate()
+    for field in ("encoder_heads", "encoder_mlp_ratio"):
+        with pytest.raises(DataError, match=field):
+            mini_config(**{field: 0}).validate()
 
 
 def test_default_pool_strides():
@@ -406,22 +409,34 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path, rng, dtype):
         assert after[name].tobytes() == arr.tobytes(), name
 
 
-def write_v1_checkpoint(path, model):
-    """The version-1 layout: every tensor float32, no dtype code."""
+def checkpoint_blob(model, version):
+    """A checkpoint built from the documented layout: version 1 stores every
+    tensor as float32 with no dtype code; version 2 stores each tensor in the
+    model's dtype behind a dtype code (1 float32, 2 float64)."""
     cfg = json.dumps(dataclasses.asdict(model.config)).encode()
     entries = list(checkpoint_tensors(model).items())
-    parts = [b"DTSS", struct.pack("<II", 1, len(cfg)), cfg, struct.pack("<I", len(entries))]
+    code, payload = (2, "<f8") if version == 2 and model.dtype == np.float64 else (1, "<f4")
+    parts = [b"DTSS", struct.pack("<II", version, len(cfg)), cfg, struct.pack("<I", len(entries))]
     for name, arr in entries:
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.ascontiguousarray(arr, dtype=payload)
         parts += [struct.pack("<I", len(name)), name.encode(),
-                  struct.pack(f"<B{arr32.ndim}I", arr32.ndim, *arr32.shape), arr32.tobytes()]
-    path.write_bytes(b"".join(parts))
+                  b"" if version == 1 else struct.pack("<B", code),
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_checkpoint_bytes_follow_the_version_2_layout(tmp_path, rng, dtype):
+    model = trained_model(dtype, rng)
+    path = tmp_path / "model.dtss"
+    model.save(path)
+    assert path.read_bytes() == checkpoint_blob(model, 2)
 
 
 def test_checkpoint_version_1_still_loads(tmp_path, rng):
     model = trained_model(np.float64, rng)
     path = tmp_path / "v1.dtss"
-    write_v1_checkpoint(path, model)
+    path.write_bytes(checkpoint_blob(model, 1))
     back = DualTsstModel.load(path)
     for name, arr in checkpoint_tensors(model).items():
         got = checkpoint_tensors(back)[name]
