@@ -486,6 +486,11 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
                 raise DataError(
                     f"{tfr_path.name}: sidecar shape {t.shape} inconsistent with trial {x.shape}"
                 )
+            if t.shape[1] != len(manifest.tfr["freqs"]):
+                raise DataError(
+                    f"{tfr_path.name}: sidecar has {t.shape[1]} frequencies, the manifest's "
+                    f"tfr.freqs lists {len(manifest.tfr['freqs'])}"
+                )
             tfrs.append(t)
 
     eeg = np.stack(eeg)

@@ -206,7 +206,7 @@ def conv2d_forward_np(x, w, stride, groups):
     for p in range(kh):
         for q in range(kw):
             xs = xg[:, :, :, p : p + sh * ho : sh, q : q + sw * wo : sw]
-            out += np.einsum("ngihw,goi->ngohw", xs, wg[:, :, :, p, q], optimize=True)
+            out += np.einsum("ngihw,goi->ngohw", xs, wg[:, :, :, p, q])
     return out.reshape(n, cout, ho, wo)
 
 
@@ -221,7 +221,7 @@ def conv2d_backward_input_np(gout, w, x_shape, stride, groups):
     gx = np.zeros(x_shape, dtype=gout.dtype).reshape(n, groups, cin_g, h, wd)
     for p in range(kh):
         for q in range(kw):
-            contrib = np.einsum("ngohw,goi->ngihw", go, wg[:, :, :, p, q], optimize=True)
+            contrib = np.einsum("ngohw,goi->ngihw", go, wg[:, :, :, p, q])
             gx[:, :, :, p : p + sh * ho : sh, q : q + sw * wo : sw] += contrib
     return gx.reshape(x_shape)
 
@@ -238,7 +238,7 @@ def conv2d_backward_kernel_np(gout, x, w_shape, stride, groups):
     for p in range(kh):
         for q in range(kw):
             xs = xg[:, :, :, p : p + sh * ho : sh, q : q + sw * wo : sw]
-            gw[:, :, :, p, q] = np.einsum("ngihw,ngohw->goi", xs, go, optimize=True)
+            gw[:, :, :, p, q] = np.einsum("ngihw,ngohw->goi", xs, go)
     return gw.reshape(w_shape)
 
 

@@ -2,15 +2,18 @@
 
 Branch 1 consumes the raw EEG [N, 1, ch, T]; branch 2 consumes the
 time-frequency power in two orientations, [N, ch, F, T] and its
-channel/frequency transpose [N, F, ch, T].  Each branch runs
+channel/frequency transpose [N, F, ch, T] (a transposed view of the same
+array, not a copy).  Each branch runs
 
     time conv -> batch norm -> separable (depthwise) spatial or frequency
     conv -> batch norm -> ELU -> average pooling -> pointwise conv
 
-and is reshaped to a [L_i, D] feature sequence.  Enabled branch outputs
-are concatenated along the sequence axis, a learnable positional encoding
-is added, and a post-norm transformer encoder plus a GAP/MLP head produce
-the class logits.
+and is reshaped to a [L_i, D] feature sequence.  The first batch norm is
+folded around the depthwise conv (``tensor.batch_norm_depthwise``), so
+the normalised time-conv output is never built or kept for backward.
+Enabled branch outputs are concatenated along the sequence axis, a
+learnable positional encoding is added, and a post-norm transformer
+encoder plus a GAP/MLP head produce the class logits.
 
 Attention scores are scaled by sqrt(embed_dim) (the full embedding width,
 not the per-head width); set ``per_head_scaling`` to use sqrt(head_dim)
@@ -244,24 +247,19 @@ class DualTsstModel:
 
     # -- forward pieces --------------------------------------------------------
 
-    def _bn(self, x, name: str, train: bool):
-        return T.batch_norm(
-            x,
-            self.params[name + ".gamma"],
-            self.params[name + ".beta"],
-            self.buffers[name + ".running_mean"],
-            self.buffers[name + ".running_var"],
-            train=train,
-            momentum=BN_MOMENTUM,
-            eps=BN_EPS,
-        )
+    def _bn_state(self, name: str) -> tuple:
+        """gamma, beta, running mean and running variance of one batch norm."""
+        return (self.params[name + ".gamma"], self.params[name + ".beta"],
+                self.buffers[name + ".running_mean"], self.buffers[name + ".running_var"])
 
     def _branch(self, prefix: str, x, pool: int, stride: int, train: bool):
         c = self.config
         h = T.conv2d(x, self.params[f"{prefix}.tc.weight"])
-        h = self._bn(h, f"{prefix}.bn1", train)
-        h = T.conv2d(h, self.params[f"{prefix}.sc.weight"], groups=c.branch_channels)
-        h = self._bn(h, f"{prefix}.bn2", train)
+        h = T.batch_norm_depthwise(h, *self._bn_state(f"{prefix}.bn1"),
+                                   self.params[f"{prefix}.sc.weight"], train,
+                                   momentum=BN_MOMENTUM, eps=BN_EPS)
+        h = T.batch_norm(h, *self._bn_state(f"{prefix}.bn2"), train,
+                         momentum=BN_MOMENTUM, eps=BN_EPS)
         h = T.elu(h)
         h = T.avg_pool2d(h, pool, stride)
         h = T.conv2d(h, self.params[f"{prefix}.pwc.weight"])
@@ -415,7 +413,8 @@ class DualTsstModel:
             if t.ndim != 4:
                 raise DataError(f"TFR batch must be [N, ch, F, T], got {t.shape}")
             v1 = t if c.use_branch2_input1 else None
-            v2 = np.ascontiguousarray(t.transpose(0, 2, 1, 3)) if c.use_branch2_input2 else None
+            # a transposed view, not a copy: the time convs read it one trial at a time
+            v2 = t.transpose(0, 2, 1, 3) if c.use_branch2_input2 else None
             outs.extend(self.branch2_forward(v1, v2, train=train))
         fused = self.fuse(outs)
         if c.use_transformer:

@@ -457,6 +457,27 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _track(out, (x, gamma, beta), vjp)
 
 
+def _moments(x, running_mean, running_var, train: bool, momentum: float):
+    """Per-channel mean and variance of [N,C,H,W] over (N,H,W).
+
+    Train mode returns the batch statistics and folds them into the running
+    buffers in place; eval mode returns copies of the buffers (they may
+    change before backward).
+    """
+    if not train:
+        return np.array(running_mean), np.array(running_var)
+    c = x.shape[1]
+    mu = x.mean(axis=(0, 2, 3))
+    # centred one trial at a time, so no second array of x's size is held
+    centred = (xb - mu.reshape(c, 1, 1) for xb in x)
+    var = sum(np.einsum("chw,chw->c", d, d) for d in centred) / (x.size // c)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    return mu, var
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Per-channel batch normalisation of [N,C,H,W].
@@ -472,19 +493,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     m = n * h * w
     axes = (0, 2, 3)
     gshape = (1, c, 1, 1)
-    if train:
-        mu = x.data.mean(axis=axes)
-        out = x.data - mu.reshape(gshape)
-        var = np.einsum("nchw,nchw->c", out, out) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mu = np.array(running_mean)  # a copy: the buffer may change before backward
-        out = x.data - mu.reshape(gshape)
-        var = np.asarray(running_var)
+    mu, var = _moments(x.data, running_mean, running_var, train, momentum)
     inv = 1.0 / np.sqrt(var + eps)
+    out = x.data - mu.reshape(gshape)
     out *= inv.reshape(gshape)  # out is xhat here
     out *= gamma.data.reshape(gshape)
     out += beta.data.reshape(gshape)
@@ -506,6 +517,62 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
         return ((x, gx), (gamma, ggamma), (beta, gbeta))
 
     return _track(out, (x, gamma, beta), vjp)
+
+
+def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, train: bool,
+                         momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """``conv2d(batch_norm(x, ...), kernel, groups=C)`` without the normalised x.
+
+    ``kernel`` is a depthwise [C, 1, kh, kw] kernel.  Batch norm is affine
+    per channel, ``a * (x - mu) + beta`` with ``a = gamma / sigma``, so it
+    passes through the convolution as per-channel scalars on the small
+    output: ``a * (conv(x) - mu * sum(k)) + beta * sum(k)``.  The backward
+    pass reduces the gamma, beta and kernel gradients in the output space
+    and applies the batch-statistics terms of the input gradient in place.
+    Batch statistics and running buffers behave as in :func:`batch_norm`.
+    """
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ValueError("batch_norm_depthwise expects 4-d input and kernel")
+    n, c, h, w = x.data.shape
+    if kernel.data.shape[:2] != (c, 1):
+        raise ValueError(f"depthwise kernel {kernel.data.shape} != ({c}, 1, kh, kw)")
+    if kernel.data.shape[2] > h or kernel.data.shape[3] > w:
+        raise ValueError(f"kernel {kernel.data.shape[2:]} larger than input ({h},{w})")
+    m = n * h * w
+    axes = (0, 2, 3)
+    gshape = (1, c, 1, 1)
+    mu, var = _moments(x.data, running_mean, running_var, train, momentum)
+    inv = 1.0 / np.sqrt(var + eps)
+    a = gamma.data * inv
+    ksum = kernel.data.sum(axis=(1, 2, 3))
+    out = kernels.conv2d_forward(x.data, kernel.data, (1, 1), c)
+    out -= (mu * ksum).reshape(gshape)
+    out *= a.reshape(gshape)
+    out += (beta.data * ksum).reshape(gshape)
+
+    def vjp(g):
+        gsum = g.sum(axis=axes)
+        # kernel gradient of the normalised input: a * (conv_k(g, x) - mu * sum(g)) + beta * sum(g)
+        centred = kernels.conv2d_backward_kernel(g, x.data, kernel.data.shape, (1, 1), c)
+        centred -= (mu * gsum).reshape(c, 1, 1, 1)
+        gkernel = centred * a.reshape(c, 1, 1, 1)
+        gkernel += (beta.data * gsum).reshape(c, 1, 1, 1)
+        gbeta = ksum * gsum
+        ggamma = inv * np.einsum("cijk,cijk->c", kernel.data, centred)
+        gx = kernels.conv2d_backward_input(g * a.reshape(gshape), kernel.data, x.data.shape,
+                                           (1, 1), c)
+        if train:
+            # gx -= a * (mean(g') + xhat * mean(g' * xhat)), g' the normalised
+            # input's gradient, one trial at a time
+            mu3, slope = mu.reshape(c, 1, 1), (a * ggamma * inv / m).reshape(c, 1, 1)
+            for gxb, xb in zip(gx, x.data):
+                gxb -= (xb - mu3) * slope
+            gx -= (a * gbeta / m).reshape(gshape)
+        return ((x, gx), (gamma, ggamma), (beta, gbeta), (kernel, gkernel))
+
+    return _track(out, (x, gamma, beta, kernel), vjp)
 
 
 def gap(x) -> Tensor:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ def test_augment_nonpositive_count_exits_1(tmp_path, mini_data, capsys, count):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--count" in err
+    assert not out.exists()
+
+
+def test_sidecar_frequency_axis_must_match_the_manifest(tmp_path, mini_data, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(mini_data, data)
+    path = data / "manifest.json"
+    raw = json.loads(path.read_text())
+    raw["tfr"]["freqs"] = raw["tfr"]["freqs"][:3]  # the sidecars hold 6
+    path.write_text(json.dumps(raw))
+    with pytest.raises(dataio.DataError, match="sidecar has 6 frequencies.*lists 3"):
+        dataio.load_trialset(data)
+    out = tmp_path / "aug"
+    code = dispatch(["augment", "--data", str(data), "--out", str(out),
+                     "--r", "8", "--count", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sidecar has 6 frequencies" in err
     assert not out.exists()
 
 

@@ -92,6 +92,63 @@ def test_default_pool_strides():
 
 
 # ---------------------------------------------------------------------------
+# memory footprint of the training graph
+# ---------------------------------------------------------------------------
+
+
+def _graph(loss):
+    """Every tensor reachable from ``loss`` through ``_parents``."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def test_each_branch_holds_one_time_conv_sized_tensor(rng):
+    # batch norm 1 is folded around the depthwise conv, so the normalised
+    # [N, bc, H, W-k+1] activation is never a graph node next to the time
+    # conv output it came from
+    model = mini_model()
+    cfg = model.config
+    n, bc = 3, cfg.branch_channels
+    eeg, tfr = mini_inputs(rng, n=n)
+    loss = T.cross_entropy(model.forward(eeg, tfr, train=True), np.arange(n) % cfg.n_classes)
+    t_raw = cfg.n_times - cfg.time_kernel_raw + 1
+    t_tfr = cfg.n_times - cfg.time_kernel_tfr + 1
+    expected = {(n, bc, cfg.n_channels, t_raw): 1, (n, bc, cfg.n_freqs, t_tfr): 1,
+                (n, bc, cfg.n_channels, t_tfr): 1}
+    assert len(expected) == 3  # the three branch shapes differ at mini
+    shapes = [t.shape for t in _graph(loss)]
+    assert {s: shapes.count(s) for s in expected} == expected
+
+
+@pytest.mark.parametrize("time_kernel_tfr", [9, 17])  # direct summation and rFFT
+@pytest.mark.parametrize("train", [False, True])
+def test_transposed_view_2_matches_a_contiguous_copy(rng, time_kernel_tfr, train):
+    eeg, tfr = mini_inputs(rng, n=3)
+    viewed = mini_model(time_kernel_tfr=time_kernel_tfr)
+    got = viewed.forward(eeg, tfr, train=train)  # passes view 2 as a transposed view
+
+    copied = mini_model(time_kernel_tfr=time_kernel_tfr)
+    view2 = np.ascontiguousarray(tfr.transpose(0, 2, 1, 3))
+    fused = copied.fuse([copied.branch1_forward(eeg[:, None, :, :], train=train),
+                         *copied.branch2_forward(tfr, view2, train=train)])
+    want = copied.classify(copied.encoder_forward(fused, train=train))
+    pairs = [("logits", got.data, want.data)]
+    if train:
+        labels = np.array([0, 1, 1])
+        T.backward(T.cross_entropy(got, labels))
+        T.backward(T.cross_entropy(want, labels))
+        pairs += [(name, p.grad, copied.params[name].grad) for name, p in viewed.params.items()]
+    for name, a, b in pairs:
+        err = np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert err <= 1e-12, f"{name}: max relative error {err:.3e}"
+
+
+# ---------------------------------------------------------------------------
 # encoder behaviour
 # ---------------------------------------------------------------------------
 

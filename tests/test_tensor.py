@@ -287,6 +287,98 @@ def test_batch_norm_keeps_float32(rng, train):
 
 
 # ---------------------------------------------------------------------------
+# batch_norm_depthwise: batch norm folded around a depthwise conv
+# ---------------------------------------------------------------------------
+
+
+def _bn_depthwise_case(rng, shape, kh):
+    c = shape[1]
+    x = leaf(rng, *shape, scale=3.0)
+    x.data += rng.normal(size=(1, c, 1, 1))  # per-channel offsets
+    kernel = leaf(rng, c, 1, kh, 1)
+    gamma, beta = leaf(rng, c), leaf(rng, c)
+    rm, rv = rng.normal(size=c), np.abs(rng.normal(size=c)) + 0.5
+    return x, kernel, gamma, beta, rm, rv
+
+
+def _bn_depthwise_run(fused, x, kernel, gamma, beta, rm, rv, g, train):
+    """Output, the x/gamma/beta/kernel gradients and the running buffers of
+    the fused op or of ``conv2d(batch_norm(x))`` on fresh copies of the inputs."""
+    x, kernel, gamma, beta = (T.Tensor(t.data.copy(), requires_grad=True)
+                              for t in (x, kernel, gamma, beta))
+    rm, rv = rm.copy(), rv.copy()
+    if fused:
+        out = T.batch_norm_depthwise(x, gamma, beta, rm, rv, kernel, train=train)
+    else:
+        out = T.conv2d(T.batch_norm(x, gamma, beta, rm, rv, train=train), kernel,
+                       groups=x.shape[1])
+    T.backward((out * T.Tensor(g)).sum())
+    return out.data, x.grad, gamma.grad, beta.grad, kernel.grad, rm, rv
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape,kh", [((2, 3, 4, 9), 4), ((1, 5, 6, 33), 6),
+                                      ((1, 4, 5, 7), 2), ((3, 40, 22, 97), 22)])
+def test_batch_norm_depthwise_matches_the_unfused_ops(rng, train, shape, kh):
+    case = _bn_depthwise_case(rng, shape, kh)
+    g = rng.normal(size=(shape[0], shape[1], shape[2] - kh + 1, shape[3]))
+    got = _bn_depthwise_run(True, *case, g, train)
+    want = _bn_depthwise_run(False, *case, g, train)
+    for name, a, b in zip(("out", "x grad", "gamma grad", "beta grad", "kernel grad",
+                           "running mean", "running var"), got, want):
+        assert a.shape == b.shape, name
+        err = np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert err <= 1e-12, f"{name}: max relative error {err:.3e}"
+
+
+def test_batch_norm_depthwise_gradients_train_and_eval(rng):
+    for train in (True, False):
+        x, kernel, gamma, beta, rm, rv = _bn_depthwise_case(rng, (2, 3, 4, 5), 4)
+        w = T.Tensor(rng.normal(size=(2, 3, 1, 5)))  # break the zero-sum degeneracy
+
+        def build():
+            return (T.batch_norm_depthwise(x, gamma, beta, rm.copy(), rv.copy(), kernel,
+                                           train=train) * w).sum()
+
+        fd_check(build, [x, gamma, beta, kernel])
+
+
+def test_batch_norm_depthwise_eval_gradient_ignores_later_buffer_updates(rng):
+    x, kernel, gamma, beta, rm, rv = _bn_depthwise_case(rng, (2, 3, 4, 5), 4)
+    g = rng.normal(size=(2, 3, 1, 5))
+    want = _bn_depthwise_run(False, x, kernel, gamma, beta, rm, rv, g, train=False)
+    out = T.batch_norm_depthwise(x, gamma, beta, rm, rv, kernel, train=False)
+    with T.no_grad():  # a train-mode call moves the running buffers before backward
+        T.batch_norm_depthwise(T.Tensor(x.data + 5.0), gamma, beta, rm, rv, kernel, train=True)
+    T.backward((out * T.Tensor(g)).sum())
+    for got, ref in zip((x.grad, gamma.grad, beta.grad, kernel.grad), want[1:5]):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_batch_norm_depthwise_keeps_float32(rng, train):
+    f32 = np.float32
+    x = T.Tensor(rng.normal(size=(2, 3, 4, 5)).astype(f32), requires_grad=True)
+    kernel = T.Tensor(rng.normal(size=(3, 1, 4, 1)).astype(f32), requires_grad=True)
+    gamma = T.Tensor(np.ones(3, dtype=f32), requires_grad=True)
+    beta = T.Tensor(np.zeros(3, dtype=f32), requires_grad=True)
+    rm, rv = np.zeros(3, dtype=f32), np.ones(3, dtype=f32)
+    out = T.batch_norm_depthwise(x, gamma, beta, rm, rv, kernel, train=train)
+    T.backward((out * T.Tensor(rng.normal(size=out.shape).astype(f32))).sum())
+    for a in (out.data, x.grad, gamma.grad, beta.grad, kernel.grad, rm, rv):
+        assert a.dtype == f32
+
+
+def test_batch_norm_depthwise_rejects_a_non_depthwise_kernel(rng):
+    x = T.Tensor(rng.normal(size=(1, 3, 4, 5)))
+    gamma, beta = T.Tensor(np.ones(3)), T.Tensor(np.zeros(3))
+    rm, rv = _bn_state(3)
+    for shape in [(3, 2, 4, 1), (6, 1, 4, 1), (3, 1, 5, 1)]:
+        with pytest.raises(ValueError):
+            T.batch_norm_depthwise(x, gamma, beta, rm, rv, T.Tensor(np.ones(shape)), train=True)
+
+
+# ---------------------------------------------------------------------------
 # elu / linear / softmax / layer_norm / gap
 # ---------------------------------------------------------------------------
 
