@@ -99,8 +99,12 @@ def _cmd_synth(args) -> int:
         raise UsageError("--classes is required unless the preset defines them")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    if not args.noise >= 0:
-        raise UsageError(f"--noise must be >= 0, got {args.noise}")
+    if ch < 1:
+        raise UsageError(f"--ch must be >= 1, got {ch}")
+    if n_times < 1:
+        raise UsageError(f"--t must be >= 1, got {n_times}")
+    if not 0 <= args.noise < float("inf"):
+        raise UsageError(f"--noise must be a finite number >= 0, got {args.noise}")
     ts = dataio.synth(args.n, ch, n_times, fs, classes, noise=args.noise, seed=args.seed)
     dataio.write_dataset(args.out, ts, name=args.name)
     _write_resolved(args.out, {
@@ -333,7 +337,10 @@ def _read_column(path) -> np.ndarray:
         raise DataError(f"cannot read accuracy column from {path}: {exc}") from exc
     if not values:
         raise DataError(f"{path} contains no values")
-    return np.asarray(values)
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise DataError(f"{path} contains a non-finite value")
+    return values
 
 
 def _cmd_stats(args) -> int:

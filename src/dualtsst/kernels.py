@@ -1,9 +1,13 @@
 """Convolution and pooling kernels, the hot inner loops of training.
 
-Each convolution takes one of three paths, chosen by the shapes alone.
+The model's convolutions have two kernel shapes, all stride 1, and one
+shape rule (``_path``) picks the path of each from the shapes alone.  Any
+other shape, or a stride other than ``(1, 1)``, raises ``ValueError``.
 
-Temporal convolutions, kernels ``[Cout, Cin, 1, k]`` with ``groups == 1``,
-stride ``(1, 1)`` and at least ``FFT_MIN_TAPS`` taps, run as spectral
+Time convolutions, kernels ``[Cout, Cin, 1, k]`` over a ``Cin``-channel
+input, run by one of two paths.
+
+From ``FFT_MIN_TAPS`` taps (the paper's 30 and 125) they are spectral
 products along time (Mathieu et al., arXiv:1312.5851).  The rFFT length is
 the input length ``W``: the valid outputs ``0..W-k`` never wrap around, so
 nothing is padded.
@@ -25,10 +29,17 @@ paper's bci2a geometry the spectral path cut the three time convolutions'
 forward plus backward from about 7.3 s to 0.26 s per trial (2 vCPU,
 float64).
 
+Below ``FFT_MIN_TAPS`` taps (the ``mini`` preset's 7 and 9, and the 1-tap
+pointwise convs) they loop over the taps with one einsum each, and never
+materialise an im2col buffer:
+
+* forward: ``einsum("nchw,oc->nohw")`` per tap;
+* input gradient: ``einsum("nohw,oc->nchw")`` per tap;
+* kernel gradient: ``einsum("nchw,nohw->oc")`` per tap.
+
 Depthwise convolutions whose kernel spans the full input height, kernels
-``[C, 1, H, 1]`` with ``groups == C`` input and output channels and stride
-``(1, 1)`` (every spatial/spectral conv of the model), are one contraction
-each:
+``[C, 1, H, 1]`` over a ``C``-channel input of height ``H`` (every
+spatial/spectral conv of the model), are one contraction each:
 
 * forward: ``einsum("nchw,ch->ncw")``;
 * input gradient: the broadcast product ``g[n, c, 0, w] * k[c, h]``;
@@ -37,15 +48,11 @@ each:
 At the raw branch's bci2a shape that is about 5x faster than direct
 summation (forward plus both gradients).
 
-Every other convolution (below ``FFT_MIN_TAPS`` taps, as the ``mini``
-preset's 7 and 9, pointwise, grouped or strided) is summed directly by
-``conv2d_*_np``: a loop over kernel positions that stays inside einsum
-calls and never materialises an im2col buffer.  The tests use those three
-functions as the oracle for the two fast paths.
-
 All convolutions are valid (no padding) cross-correlations.  Every path is
-deterministic; the fast paths differ from direct summation in the last few
-ulps because the summation orders differ.
+deterministic.  The tests check all three against a generic grouped,
+strided direct-summation convolution: the tap loop matches it bit for bit,
+the other two paths in the last few ulps, because the summation orders
+differ.
 """
 
 from __future__ import annotations
@@ -62,15 +69,10 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 # The fewest taps for which a temporal conv runs by rFFT.  At the mini
-# preset's geometry (64 samples) direct summation is faster below about 12
+# preset's geometry (64 samples) the tap loop is faster below about 12
 # taps and the rFFT about 2x faster from 16; the paper's 30- and 125-tap
 # kernels take the rFFT path, the mini preset's 7 and 9 do not.
 FFT_MIN_TAPS = 16
-
-
-def _uses_fft(w_shape, stride, groups) -> bool:
-    _, _, kh, kw = w_shape
-    return kh == 1 and kw >= FFT_MIN_TAPS and groups == 1 and tuple(stride) == (1, 1)
 
 
 def _spectrum(a, n):
@@ -139,136 +141,91 @@ def _per_trial(fn, n):
             yield future.result()
 
 
-def _tconv_forward_fft(x, w):
-    n, _, h, wd = x.shape
-    cout, _, _, k = w.shape
-    wf = _spectrum(w[:, :, 0, :], wd).conj()  # [F, Cout, Cin]
-    out = np.empty((n, cout, h, wd - k + 1), dtype=x.dtype)
+def _fft_apply(wf, a, out, n):
+    """``out[b] = irfft(wf @ rfft(a[b]))`` for every trial ``b``, rFFT length ``n``.
+
+    ``wf`` is a ``[F, rows, cols]`` kernel spectrum; each result is cut to
+    the first ``out.shape[3]`` samples.
+    """
+    keep = out.shape[3]
 
     def trial(b):
-        out[b] = _signal(wf @ _spectrum(x[b], wd), wd)[..., : wd - k + 1]
+        out[b] = _signal(wf @ _spectrum(a[b], n), n)[..., :keep]
 
-    list(_per_trial(trial, n))
+    list(_per_trial(trial, len(a)))
     return out
 
 
-def _tconv_backward_input_fft(gout, w, x_shape):
+# ---------------------------------------------------------------------------
+# the shape rule and the three entry points
+# ---------------------------------------------------------------------------
+
+
+def _path(w_shape, x_shape) -> str:
+    """``"depthwise"``, ``"fft"`` or ``"taps"``: how a conv of these shapes runs."""
+    cout, cin_k, kh, kw = w_shape
+    _, cin, h, wd = x_shape
+    if cin_k == 1 and cout == cin and kh == h and kw == 1:
+        return "depthwise"
+    if cin_k == cin and kh == 1 and kw <= wd:
+        return "fft" if kw >= FFT_MIN_TAPS else "taps"
+    raise ValueError(
+        f"kernel {tuple(w_shape)} on input {tuple(x_shape)} is neither a time conv "
+        f"[Cout, {cin}, 1, k <= {wd}] nor a full-height depthwise conv [{cin}, 1, {h}, 1]")
+
+
+def conv2d_forward(x, w, stride):
+    if tuple(stride) != (1, 1):
+        raise ValueError(f"only stride (1, 1) is supported, got {tuple(stride)}")
+    path = _path(w.shape, x.shape)
+    if path == "depthwise":
+        return np.einsum("nchw,ch->ncw", x, w[:, 0, :, 0])[:, :, None, :]
+    n, _, h, wd = x.shape
+    cout, _, _, k = w.shape
+    wo = wd - k + 1
+    if path == "fft":
+        wf = _spectrum(w[:, :, 0, :], wd).conj()  # [F, Cout, Cin]
+        return _fft_apply(wf, x, np.empty((n, cout, h, wo), dtype=x.dtype), wd)
+    out = np.zeros((n, cout, h, wo), dtype=x.dtype)
+    for q in range(k):
+        out += np.einsum("nchw,oc->nohw", x[..., q : q + wo], w[:, :, 0, q])
+    return out
+
+
+def conv2d_backward_input(gout, w, x_shape):
+    path = _path(w.shape, x_shape)
+    if path == "depthwise":
+        return gout * w[:, 0]  # [N, C, 1, W] * [C, H, 1]
     wd = x_shape[3]
-    wf = _spectrum(w[:, :, 0, :], wd).transpose(0, 2, 1)  # [F, Cin, Cout]
-    gx = np.empty(x_shape, dtype=gout.dtype)
-
-    def trial(b):
-        gx[b] = _signal(wf @ _spectrum(gout[b], wd), wd)
-
-    list(_per_trial(trial, x_shape[0]))
+    if path == "fft":
+        wf = _spectrum(w[:, :, 0, :], wd).transpose(0, 2, 1)  # [F, Cin, Cout]
+        return _fft_apply(wf, gout, np.empty(x_shape, dtype=gout.dtype), wd)
+    wo = gout.shape[3]
+    gx = np.zeros(x_shape, dtype=gout.dtype)
+    for q in range(w.shape[3]):
+        gx[..., q : q + wo] += np.einsum("nohw,oc->nchw", gout, w[:, :, 0, q])
     return gx
 
 
-def _tconv_backward_kernel_fft(gout, x, w_shape):
-    wd = x.shape[3]
-
-    def trial(b):
-        gs = _spectrum(gout[b], wd)
-        return np.conjugate(gs, out=gs) @ _spectrum(x[b], wd).transpose(0, 2, 1)
-
-    # summed in trial order, so the bits do not depend on thread timing
-    acc = functools.reduce(operator.iadd, _per_trial(trial, x.shape[0]))
-    gw = _signal(acc, wd)[..., : w_shape[3]]  # [Cout, Cin, k]
-    return np.ascontiguousarray(gw[:, :, None, :], dtype=gout.dtype)
-
-
-# ---------------------------------------------------------------------------
-# depthwise convolution over the full height
-# ---------------------------------------------------------------------------
-
-
-def _uses_depthwise(w_shape, x_shape, stride, groups) -> bool:
-    cout, cin_g, kh, kw = w_shape
-    return (cin_g == 1 and groups == cout == x_shape[1] and kh == x_shape[2] and kw == 1
-            and tuple(stride) == (1, 1))
-
-
-# ---------------------------------------------------------------------------
-# direct summation: every other convolution shape
-# ---------------------------------------------------------------------------
-
-
-def conv2d_forward_np(x, w, stride, groups):
-    n, cin, h, wd = x.shape
-    cout, cin_g, kh, kw = w.shape
-    sh, sw = stride
-    ho = (h - kh) // sh + 1
-    wo = (wd - kw) // sw + 1
-    cout_g = cout // groups
-    xg = x.reshape(n, groups, cin_g, h, wd)
-    wg = w.reshape(groups, cout_g, cin_g, kh, kw)
-    out = np.zeros((n, groups, cout_g, ho, wo), dtype=x.dtype)
-    for p in range(kh):
-        for q in range(kw):
-            xs = xg[:, :, :, p : p + sh * ho : sh, q : q + sw * wo : sw]
-            out += np.einsum("ngihw,goi->ngohw", xs, wg[:, :, :, p, q])
-    return out.reshape(n, cout, ho, wo)
-
-
-def conv2d_backward_input_np(gout, w, x_shape, stride, groups):
-    n, cin, h, wd = x_shape
-    cout, cin_g, kh, kw = w.shape
-    sh, sw = stride
-    ho, wo = gout.shape[2], gout.shape[3]
-    cout_g = cout // groups
-    go = gout.reshape(n, groups, cout_g, ho, wo)
-    wg = w.reshape(groups, cout_g, cin_g, kh, kw)
-    gx = np.zeros(x_shape, dtype=gout.dtype).reshape(n, groups, cin_g, h, wd)
-    for p in range(kh):
-        for q in range(kw):
-            contrib = np.einsum("ngohw,goi->ngihw", go, wg[:, :, :, p, q])
-            gx[:, :, :, p : p + sh * ho : sh, q : q + sw * wo : sw] += contrib
-    return gx.reshape(x_shape)
-
-
-def conv2d_backward_kernel_np(gout, x, w_shape, stride, groups):
-    cout, cin_g, kh, kw = w_shape
-    n, cin, h, wd = x.shape
-    sh, sw = stride
-    ho, wo = gout.shape[2], gout.shape[3]
-    cout_g = cout // groups
-    xg = x.reshape(n, groups, cin_g, h, wd)
-    go = gout.reshape(n, groups, cout_g, ho, wo)
-    gw = np.zeros((groups, cout_g, cin_g, kh, kw), dtype=gout.dtype)
-    for p in range(kh):
-        for q in range(kw):
-            xs = xg[:, :, :, p : p + sh * ho : sh, q : q + sw * wo : sw]
-            gw[:, :, :, p, q] = np.einsum("ngihw,ngohw->goi", xs, go)
-    return gw.reshape(w_shape)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def conv2d_forward(x, w, stride, groups):
-    if _uses_fft(w.shape, stride, groups):
-        return _tconv_forward_fft(x, w)
-    if _uses_depthwise(w.shape, x.shape, stride, groups):
-        return np.einsum("nchw,ch->ncw", x, w[:, 0, :, 0])[:, :, None, :]
-    return conv2d_forward_np(x, w, stride, groups)
-
-
-def conv2d_backward_input(gout, w, x_shape, stride, groups):
-    if _uses_fft(w.shape, stride, groups):
-        return _tconv_backward_input_fft(gout, w, x_shape)
-    if _uses_depthwise(w.shape, x_shape, stride, groups):
-        return gout * w[:, 0]  # [N, C, 1, W] * [C, H, 1]
-    return conv2d_backward_input_np(gout, w, x_shape, stride, groups)
-
-
-def conv2d_backward_kernel(gout, x, w_shape, stride, groups):
-    if _uses_fft(w_shape, stride, groups):
-        return _tconv_backward_kernel_fft(gout, x, w_shape)
-    if _uses_depthwise(w_shape, x.shape, stride, groups):
+def conv2d_backward_kernel(gout, x, w_shape):
+    path = _path(w_shape, x.shape)
+    if path == "depthwise":
         return np.einsum("ncw,nchw->ch", gout[:, :, 0], x)[:, None, :, None]
-    return conv2d_backward_kernel_np(gout, x, w_shape, stride, groups)
+    wd = x.shape[3]
+    if path == "fft":
+        def trial(b):
+            gs = _spectrum(gout[b], wd)
+            return np.conjugate(gs, out=gs) @ _spectrum(x[b], wd).transpose(0, 2, 1)
+
+        # summed in trial order, so the bits do not depend on thread timing
+        acc = functools.reduce(operator.iadd, _per_trial(trial, x.shape[0]))
+        gw = _signal(acc, wd)[..., : w_shape[3]]  # [Cout, Cin, k]
+        return np.ascontiguousarray(gw[:, :, None, :], dtype=gout.dtype)
+    wo = gout.shape[3]
+    gw = np.zeros(w_shape, dtype=gout.dtype)
+    for q in range(w_shape[3]):
+        gw[:, :, 0, q] = np.einsum("nchw,nohw->oc", x[..., q : q + wo], gout)
+    return gw
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,10 @@ class MorletPlan:
             raise DataError("analysis frequencies must be strictly ascending")
         if self.fs <= 0:
             raise DataError(f"sampling rate must be positive, got {self.fs}")
+        aliased = self.freqs[self.freqs >= self.fs / 2]
+        if aliased.size:
+            raise DataError(f"analysis frequencies must be below fs/2 = {self.fs / 2:g} Hz, "
+                            f"got {', '.join(f'{f:g}' for f in aliased)} Hz")
         self.n_cycles = self.freqs / 2.0
         self.sigma_t = self.n_cycles / (2.0 * np.pi * self.freqs)
         self.taps = [self._make_taps(f, s) for f, s in zip(self.freqs, self.sigma_t)]

@@ -371,28 +371,22 @@ def linear(x, weight, bias=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x, kernel, stride=(1, 1), groups: int = 1) -> Tensor:
-    """Valid cross-correlation of [N,Cin,H,W] with [Cout,Cin/groups,kh,kw]."""
+def conv2d(x, kernel) -> Tensor:
+    """Valid, stride-1 cross-correlation of ``x`` [N, Cin, H, W] with ``kernel``.
+
+    ``kernel`` has one of the model's two shapes: a time conv
+    [Cout, Cin, 1, k] (k = 1 is the pointwise conv) or a full-height
+    depthwise conv [Cin, 1, H, 1].  Any other shape raises ValueError.
+    """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError("conv2d expects 4-d input and kernel")
-    n, cin, h, w = x.data.shape
-    cout, cin_g, kh, kw = kernel.data.shape
-    sh, sw = stride
-    if cin % groups or cout % groups:
-        raise ValueError(f"channels ({cin} in, {cout} out) not divisible by groups={groups}")
-    if cin_g != cin // groups:
-        raise ValueError(f"kernel expects {cin_g} input channels/group, input has {cin // groups}")
-    if kh > h or kw > w:
-        raise ValueError(f"kernel ({kh},{kw}) larger than input ({h},{w})")
-    if sh < 1 or sw < 1:
-        raise ValueError("stride must be positive")
-    out = kernels.conv2d_forward(x.data, kernel.data, (sh, sw), groups)
+    out = kernels.conv2d_forward(x.data, kernel.data, (1, 1))
 
     def vjp(g):
         return (
-            (x, kernels.conv2d_backward_input(g, kernel.data, x.data.shape, (sh, sw), groups)),
-            (kernel, kernels.conv2d_backward_kernel(g, x.data, kernel.data.shape, (sh, sw), groups)),
+            (x, kernels.conv2d_backward_input(g, kernel.data, x.data.shape)),
+            (kernel, kernels.conv2d_backward_kernel(g, x.data, kernel.data.shape)),
         )
 
     return _track(out, (x, kernel), vjp)
@@ -521,11 +515,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
 
 def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, train: bool,
                          momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """``conv2d(batch_norm(x, ...), kernel, groups=C)`` without the normalised x.
+    """``conv2d(batch_norm(x, ...), kernel)`` without the normalised x.
 
-    ``kernel`` is a depthwise [C, 1, kh, kw] kernel.  Batch norm is affine
-    per channel, ``a * (x - mu) + beta`` with ``a = gamma / sigma``, so it
-    passes through the convolution as per-channel scalars on the small
+    ``kernel`` is a full-height depthwise [C, 1, H, 1] kernel.  Batch norm
+    is affine per channel, ``a * (x - mu) + beta`` with ``a = gamma / sigma``,
+    so it passes through the convolution as per-channel scalars on the small
     output: ``a * (conv(x) - mu * sum(k)) + beta * sum(k)``.  The backward
     pass reduces the gamma, beta and kernel gradients in the output space
     and applies the batch-statistics terms of the input gradient in place.
@@ -536,10 +530,8 @@ def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, trai
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError("batch_norm_depthwise expects 4-d input and kernel")
     n, c, h, w = x.data.shape
-    if kernel.data.shape[:2] != (c, 1):
-        raise ValueError(f"depthwise kernel {kernel.data.shape} != ({c}, 1, kh, kw)")
-    if kernel.data.shape[2] > h or kernel.data.shape[3] > w:
-        raise ValueError(f"kernel {kernel.data.shape[2:]} larger than input ({h},{w})")
+    if kernel.data.shape != (c, 1, h, 1):
+        raise ValueError(f"depthwise kernel {kernel.data.shape} != ({c}, 1, {h}, 1)")
     m = n * h * w
     axes = (0, 2, 3)
     gshape = (1, c, 1, 1)
@@ -547,7 +539,7 @@ def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, trai
     inv = 1.0 / np.sqrt(var + eps)
     a = gamma.data * inv
     ksum = kernel.data.sum(axis=(1, 2, 3))
-    out = kernels.conv2d_forward(x.data, kernel.data, (1, 1), c)
+    out = kernels.conv2d_forward(x.data, kernel.data, (1, 1))
     out -= (mu * ksum).reshape(gshape)
     out *= a.reshape(gshape)
     out += (beta.data * ksum).reshape(gshape)
@@ -555,14 +547,13 @@ def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, trai
     def vjp(g):
         gsum = g.sum(axis=axes)
         # kernel gradient of the normalised input: a * (conv_k(g, x) - mu * sum(g)) + beta * sum(g)
-        centred = kernels.conv2d_backward_kernel(g, x.data, kernel.data.shape, (1, 1), c)
+        centred = kernels.conv2d_backward_kernel(g, x.data, kernel.data.shape)
         centred -= (mu * gsum).reshape(c, 1, 1, 1)
         gkernel = centred * a.reshape(c, 1, 1, 1)
         gkernel += (beta.data * gsum).reshape(c, 1, 1, 1)
         gbeta = ksum * gsum
         ggamma = inv * np.einsum("cijk,cijk->c", kernel.data, centred)
-        gx = kernels.conv2d_backward_input(g * a.reshape(gshape), kernel.data, x.data.shape,
-                                           (1, 1), c)
+        gx = kernels.conv2d_backward_input(g * a.reshape(gshape), kernel.data, x.data.shape)
         if train:
             # gx -= a * (mean(g') + xhat * mean(g' * xhat)), g' the normalised
             # input's gradient, one trial at a time

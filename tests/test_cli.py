@@ -117,6 +117,12 @@ def test_augment_segments_out_of_range_exits_2(tmp_path, mini_data, capsys, r):
     pytest.param(["synth", "--preset", "mini", "--classes", "8:a"], "'8:a'", id="classes-channel"),
     pytest.param(["synth", "--preset", "mini", "--classes", "8:"], "'8:'", id="classes-empty"),
     pytest.param(["synth", "--preset", "mini", "--noise", "-1"], "--noise", id="noise-negative"),
+    pytest.param(["synth", "--preset", "mini", "--noise", "inf"], "--noise", id="noise-inf"),
+    pytest.param(["synth", "--preset", "mini", "--noise", "nan"], "--noise", id="noise-nan"),
+    pytest.param(["synth", "--preset", "mini", "--t", "0"], "--t", id="t-zero"),
+    pytest.param(["synth", "--preset", "mini", "--t", "-5"], "--t", id="t-negative"),
+    pytest.param(["synth", "--preset", "mini", "--ch", "0"], "--ch", id="ch-zero"),
+    pytest.param(["synth", "--preset", "mini", "--ch", "-1"], "--ch", id="ch-negative"),
     pytest.param(["synth", "--preset", "mini", "--n", "-1"], "--n", id="n-negative"),
     pytest.param(["transform", "--preset", "mini", "--freq-step", "0"], "--freq-step",
                  id="freq-step-zero"),
@@ -132,10 +138,16 @@ def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-def test_synth_zero_samples_exits_2(tmp_path, capsys):
-    assert dispatch(["synth", "--out", str(tmp_path / "d"), "--preset", "mini", "--t", "0"]) == 2
+def test_transform_above_nyquist_exits_2(tmp_path, mini_data, capsys):
+    data = tmp_path / "d"
+    shutil.copytree(mini_data, data)
+    before = {f: f.read_bytes() for f in data.rglob("*") if f.is_file()}
+    code = dispatch(["transform", "--data", str(data), "--preset", "mini",
+                     "--freq-hi", "100", "--freq-step", "20"])  # 4 .. 84 Hz at fs 128
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "(4, 0)" in err
+    assert err.count("\n") == 1 and "below fs/2 = 64 Hz, got 64, 84 Hz" in err
+    assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
 
 
 def test_transform_missing_trial_file_exits_2(tmp_path, capsys):
@@ -177,6 +189,16 @@ def test_train_eval_stats_pipeline(tmp_path, mini_data):
     a.write_text("0.8\n0.7\n0.9\n0.6\n")
     b.write_text("0.6\n0.5\n0.8\n0.6\n")
     assert dispatch(["stats", "--a", str(a), "--b", str(b)]) == 0
+
+
+def test_stats_non_finite_value_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("0.8\n0.7\n0.9\n")
+    b.write_text("0.6\nnan\n0.8\n")
+    assert dispatch(["stats", "--a", str(a), "--b", str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and str(b) in captured.err
+    assert "non-finite" in captured.err and captured.out == ""
 
 
 def test_stats_undefined_when_identical(tmp_path, capsys):

@@ -1,10 +1,10 @@
-"""The rFFT temporal convolution and the one-contraction depthwise conv
-against the direct-summation einsum loop.
+"""The model's two convolution shapes and their three paths, against a
+generic direct-summation convolution.
 
-``kernels.conv2d_*_np`` sum the cross-correlation tap by tap; they are the
-oracle for the spectral path taken by ``[Cout, Cin, 1, k]`` kernels with at
-least ``kernels.FFT_MIN_TAPS`` taps, and for the single contraction taken by
-full-height depthwise ``[C, 1, H, 1]`` kernels.
+``conv_oracle.conv2d_*_np`` sum any grouped, strided cross-correlation one
+kernel position at a time.  They are the oracle for the rFFT and tap-loop
+paths of time convs ``[Cout, Cin, 1, k]`` and for the one-contraction path
+of full-height depthwise ``[C, 1, H, 1]`` kernels.
 """
 
 import multiprocessing
@@ -16,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualtsst import kernels
+from dualtsst import tensor as T
 from dualtsst.gradcheck import check_gradients
 from dualtsst.model import DualTsstModel, ModelConfig
 from dualtsst.tensor import cross_entropy
+
+from conv_oracle import conv2d_backward_input_np, conv2d_backward_kernel_np, conv2d_forward_np
 
 FFT_TOL = 1e-12  # max |fft - loop| / max |loop|, float64
 ONE = (1, 1)
@@ -34,12 +37,11 @@ def assert_matches_oracle(rng, n, cin, h, wd, cout, k):
     w = rng.normal(size=(cout, cin, 1, k))
     g = rng.normal(size=(n, cout, h, wd - k + 1))
     pairs = {
-        "forward": (kernels.conv2d_forward(x, w, ONE, 1),
-                    kernels.conv2d_forward_np(x, w, ONE, 1)),
-        "input gradient": (kernels.conv2d_backward_input(g, w, x.shape, ONE, 1),
-                           kernels.conv2d_backward_input_np(g, w, x.shape, ONE, 1)),
-        "kernel gradient": (kernels.conv2d_backward_kernel(g, x, w.shape, ONE, 1),
-                            kernels.conv2d_backward_kernel_np(g, x, w.shape, ONE, 1)),
+        "forward": (kernels.conv2d_forward(x, w, ONE), conv2d_forward_np(x, w, ONE, 1)),
+        "input gradient": (kernels.conv2d_backward_input(g, w, x.shape),
+                           conv2d_backward_input_np(g, w, x.shape, ONE, 1)),
+        "kernel gradient": (kernels.conv2d_backward_kernel(g, x, w.shape),
+                            conv2d_backward_kernel_np(g, x, w.shape, ONE, 1)),
     }
     for name, (fast, ref) in pairs.items():
         assert fast.shape == ref.shape and fast.dtype == ref.dtype, name
@@ -73,36 +75,82 @@ def test_fft_conv_keeps_float32():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 3, 2, 64)).astype(np.float32)
     w = rng.normal(size=(4, 3, 1, 20)).astype(np.float32)
-    out = kernels.conv2d_forward(x, w, ONE, 1)
+    out = kernels.conv2d_forward(x, w, ONE)
     assert out.dtype == np.float32
-    ref = kernels.conv2d_forward_np(x.astype(np.float64), w.astype(np.float64), ONE, 1)
+    ref = conv2d_forward_np(x.astype(np.float64), w.astype(np.float64), ONE, 1)
     assert max_rel(out, ref) < 1e-5
 
 
-def test_only_long_temporal_kernels_take_the_fft_path(monkeypatch, rng):
-    """With the direct-summation functions disabled, exactly the shapes at
-    or past the cutoff still compute."""
-    def disabled(*args):
-        raise AssertionError("direct summation called")
+# ---------------------------------------------------------------------------
+# the shape rule
+# ---------------------------------------------------------------------------
 
-    for name in ("conv2d_forward_np", "conv2d_backward_input_np", "conv2d_backward_kernel_np"):
-        monkeypatch.setattr(kernels, name, disabled)
 
-    def run(w_shape, stride=ONE, groups=1):
-        x = rng.normal(size=(1, 4, 3, 40))
-        w = rng.normal(size=w_shape)
-        out = kernels.conv2d_forward(x, w, stride, groups)
-        kernels.conv2d_backward_input(np.ones_like(out), w, x.shape, stride, groups)
-        kernels.conv2d_backward_kernel(np.ones_like(out), x, w.shape, stride, groups)
+@pytest.fixture
+def computed(monkeypatch):
+    """Records ``"rfft"`` for every rFFT and the subscripts of every einsum
+    that the kernels compute, in call order."""
+    seen = []
+    spectrum, einsum = kernels._spectrum, np.einsum
 
+    def spy_spectrum(a, n):
+        seen.append("rfft")
+        return spectrum(a, n)
+
+    def spy_einsum(subscripts, *operands, **kwargs):
+        seen.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(kernels, "_spectrum", spy_spectrum)
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    return seen
+
+
+def passes(computed, x, w):
+    """What the forward, input-gradient and kernel-gradient calls compute."""
+    g = np.ones_like(kernels.conv2d_forward(x, w, ONE))
+    taken = []
+    for run in (lambda: kernels.conv2d_forward(x, w, ONE),
+                lambda: kernels.conv2d_backward_input(g, w, x.shape),
+                lambda: kernels.conv2d_backward_kernel(g, x, w.shape)):
+        computed.clear()
+        run()
+        taken.append(list(computed))
+    return taken
+
+
+def assert_rejected(x, w):
+    """Every kernels entry point and ``tensor.conv2d`` refuse ``w`` over ``x``."""
+    g = np.ones((x.shape[0], w.shape[0], 1, x.shape[3]))
+    for run in (lambda: kernels.conv2d_forward(x, w, ONE),
+                lambda: kernels.conv2d_backward_input(g, w, x.shape),
+                lambda: kernels.conv2d_backward_kernel(g, x, w.shape),
+                lambda: T.conv2d(x, w)):
+        with pytest.raises(ValueError, match="neither a time conv"):
+            run()
+
+
+def test_only_long_temporal_kernels_take_the_fft_path(computed, rng):
+    """Time convs from FFT_MIN_TAPS taps run by rFFT, shorter ones (the
+    pointwise conv is the 1-tap case) as one einsum per tap; any other
+    shape or stride raises."""
+    x = rng.normal(size=(2, 4, 3, 40))
     k = kernels.FFT_MIN_TAPS
-    run((2, 4, 1, k))
-    for w_shape, stride, groups in [((2, 4, 1, k - 1), ONE, 1),   # too few taps
-                                    ((2, 4, 2, k), ONE, 1),       # not 1 x k
-                                    ((4, 1, 1, k), ONE, 4),       # grouped
-                                    ((2, 4, 1, k), (1, 2), 1)]:   # strided
-        with pytest.raises(AssertionError, match="direct summation"):
-            run(w_shape, stride, groups)
+    for taps in (k, 40):
+        taken = passes(computed, x, rng.normal(size=(2, 4, 1, taps)))
+        assert all(t and set(t) == {"rfft"} for t in taken), taken
+    for taps in (1, 7, k - 1):
+        assert passes(computed, x, rng.normal(size=(2, 4, 1, taps))) == [
+            ["nchw,oc->nohw"] * taps, ["nohw,oc->nchw"] * taps, ["nchw,nohw->oc"] * taps]
+    for w_shape in [(2, 4, 2, k),   # two rows
+                    (2, 4, 3, 5),   # 2-D
+                    (2, 3, 1, k),   # a channel short
+                    (4, 1, 1, k),   # grouped, one channel per group
+                    (2, 4, 1, 41)]:  # wider than the input
+        assert_rejected(x, rng.normal(size=w_shape))
+    for stride in [(1, 2), (2, 1)]:
+        with pytest.raises(ValueError, match="stride"):
+            kernels.conv2d_forward(x, rng.normal(size=(2, 4, 1, k)), stride)
 
 
 def test_gradcheck_through_fft_time_convs():
@@ -132,9 +180,9 @@ def fft_passes(rng, n):
     x = rng.normal(size=(n, 3, 2, 50))
     w = rng.normal(size=(4, 3, 1, 20))
     g = rng.normal(size=(n, 4, 2, 31))
-    return (kernels.conv2d_forward(x, w, ONE, 1),
-            kernels.conv2d_backward_input(g, w, x.shape, ONE, 1),
-            kernels.conv2d_backward_kernel(g, x, w.shape, ONE, 1))
+    return (kernels.conv2d_forward(x, w, ONE),
+            kernels.conv2d_backward_input(g, w, x.shape),
+            kernels.conv2d_backward_kernel(g, x, w.shape))
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -183,12 +231,11 @@ def assert_depthwise_matches_oracle(rng, n, c, h, wd, dtype=np.float64, tol=FFT_
     g = rng.normal(size=(n, c, 1, wd)).astype(dtype)
     x64, w64, g64 = (a.astype(np.float64) for a in (x, w, g))
     pairs = {
-        "forward": (kernels.conv2d_forward(x, w, ONE, c),
-                    kernels.conv2d_forward_np(x64, w64, ONE, c)),
-        "input gradient": (kernels.conv2d_backward_input(g, w, x.shape, ONE, c),
-                           kernels.conv2d_backward_input_np(g64, w64, x.shape, ONE, c)),
-        "kernel gradient": (kernels.conv2d_backward_kernel(g, x, w.shape, ONE, c),
-                            kernels.conv2d_backward_kernel_np(g64, x64, w.shape, ONE, c)),
+        "forward": (kernels.conv2d_forward(x, w, ONE), conv2d_forward_np(x64, w64, ONE, c)),
+        "input gradient": (kernels.conv2d_backward_input(g, w, x.shape),
+                           conv2d_backward_input_np(g64, w64, x.shape, ONE, c)),
+        "kernel gradient": (kernels.conv2d_backward_kernel(g, x, w.shape),
+                            conv2d_backward_kernel_np(g64, x64, w.shape, ONE, c)),
     }
     for name, (fast, ref) in pairs.items():
         assert fast.shape == ref.shape and fast.dtype == dtype, name
@@ -223,31 +270,25 @@ def test_depthwise_conv_keeps_float32():
                                     dtype=np.float32, tol=1e-5)
 
 
-def test_only_full_height_depthwise_kernels_skip_the_loop(monkeypatch, rng):
-    """With the direct-summation functions disabled, exactly the full-height
-    depthwise shapes still compute."""
-    def disabled(*args):
-        raise AssertionError("direct summation called")
-
-    for name in ("conv2d_forward_np", "conv2d_backward_input_np", "conv2d_backward_kernel_np"):
-        monkeypatch.setattr(kernels, name, disabled)
-
-    def run(w_shape, stride=ONE, groups=4):
-        x = rng.normal(size=(2, 4, 3, 10))
+def test_only_full_height_depthwise_kernels_skip_the_loop(computed, rng):
+    """[C, 1, H, 1] kernels over a C-channel input of height H are one
+    contraction per pass; every other grouped shape, or a stride, raises
+    from kernels, tensor.conv2d and tensor.batch_norm_depthwise."""
+    x = rng.normal(size=(2, 4, 3, 10))
+    assert passes(computed, x, rng.normal(size=(4, 1, 3, 1))) == [
+        ["nchw,ch->ncw"], [], ["ncw,nchw->ch"]]
+    bn = (T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)), np.zeros(4), np.ones(4))
+    for w_shape in [(4, 1, 2, 1),   # partial height
+                    (4, 2, 3, 1),   # 2 channels per group
+                    (8, 1, 3, 1),   # channel multiplier 2
+                    (4, 1, 3, 2)]:  # 3 x 2 kernel
         w = rng.normal(size=w_shape)
-        out = kernels.conv2d_forward(x, w, stride, groups)
-        kernels.conv2d_backward_input(np.ones_like(out), w, x.shape, stride, groups)
-        kernels.conv2d_backward_kernel(np.ones_like(out), x, w.shape, stride, groups)
-
-    run((4, 1, 3, 1))
-    for w_shape, stride, groups in [((4, 1, 2, 1), ONE, 4),      # partial height
-                                    ((4, 1, 3, 1), (1, 2), 4),   # strided
-                                    ((4, 1, 3, 1), (2, 1), 4),   # strided
-                                    ((4, 2, 3, 1), ONE, 2),      # 2 channels per group
-                                    ((8, 1, 3, 1), ONE, 4),      # channel multiplier 2
-                                    ((4, 1, 3, 2), ONE, 4)]:     # 3 x 2 kernel
-        with pytest.raises(AssertionError, match="direct summation"):
-            run(w_shape, stride, groups)
+        assert_rejected(x, w)
+        with pytest.raises(ValueError, match="depthwise kernel"):
+            T.batch_norm_depthwise(T.Tensor(x), *bn, T.Tensor(w), train=True)
+    for stride in [(1, 2), (2, 1)]:
+        with pytest.raises(ValueError, match="stride"):
+            kernels.conv2d_forward(x, rng.normal(size=(4, 1, 3, 1)), stride)
 
 
 def test_gradcheck_through_depthwise_convs():
@@ -264,3 +305,82 @@ def test_gradcheck_through_depthwise_convs():
     result = check_gradients(
         lambda: cross_entropy(model.forward(eeg, tfr, train=True), labels), model.params)
     assert result.ok(1e-3), f"{result.worst_param}: {result.max_rel_error:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# the tap loop and the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n, cin, h, wd, cout, k, transposed", [
+    (8, 1, 4, 64, 3, 7, False),    # mini branch1.tc
+    (8, 4, 6, 64, 3, 9, False),    # mini branch2.view1.tc
+    (8, 6, 4, 64, 3, 9, True),     # mini branch2.view2.tc, a transposed view
+    (8, 3, 1, 13, 8, 1, False),    # mini pwc
+    (2, 40, 1, 71, 120, 1, False),  # bci2a branch1.pwc
+    (2, 40, 1, 1, 120, 1, False),  # seed branch2 pwc
+    (3, 2, 2, 30, 2, kernels.FFT_MIN_TAPS - 1, False),
+])
+def test_tap_loop_equals_the_oracle_bit_for_bit(n, cin, h, wd, cout, k, transposed, dtype):
+    rng = np.random.default_rng(k + wd)
+    if transposed:
+        x = rng.normal(size=(n, h, cin, wd)).astype(dtype).transpose(0, 2, 1, 3)
+    else:
+        x = rng.normal(size=(n, cin, h, wd)).astype(dtype)
+    w = rng.normal(size=(cout, cin, 1, k)).astype(dtype)
+    g = rng.normal(size=(n, cout, h, wd - k + 1)).astype(dtype)
+    pairs = {
+        "forward": (kernels.conv2d_forward(x, w, ONE), conv2d_forward_np(x, w, ONE, 1)),
+        "input gradient": (kernels.conv2d_backward_input(g, w, x.shape),
+                           conv2d_backward_input_np(g, w, x.shape, ONE, 1)),
+        "kernel gradient": (kernels.conv2d_backward_kernel(g, x, w.shape),
+                            conv2d_backward_kernel_np(g, x, w.shape, ONE, 1)),
+    }
+    for name, (fast, ref) in pairs.items():
+        assert fast.dtype == ref.dtype == dtype, name
+        assert np.array_equal(fast, ref), name
+
+
+def test_oracle_hand_cross_correlation():
+    x = np.array([1.0, 2, 3, 4, 5]).reshape(1, 1, 1, 5)
+    w = np.array([1.0, 0, -1]).reshape(1, 1, 1, 3)
+    np.testing.assert_array_equal(conv2d_forward_np(x, w, ONE, 1).ravel(), [-2.0, -2.0, -2.0])
+    # two rows at stride 2 along time: x[0, q] + 10 x[1, q] at q = 0, 2, 4
+    x = np.arange(10.0).reshape(1, 1, 2, 5)
+    w = np.array([1.0, 10.0]).reshape(1, 1, 2, 1)
+    np.testing.assert_array_equal(conv2d_forward_np(x, w, (1, 2), 1).ravel(), [50.0, 72, 94])
+    # two groups of one channel each scale their own channel
+    x = np.arange(6.0).reshape(1, 2, 1, 3)
+    w = np.array([2.0, 3.0]).reshape(2, 1, 1, 1)
+    np.testing.assert_array_equal(conv2d_forward_np(x, w, ONE, 2)[0, :, 0],
+                                  [[0.0, 2, 4], [9, 12, 15]])
+
+
+def test_oracle_gradients_match_finite_differences(rng):
+    """At a strided, grouped 2 x 3 shape the backward oracles are the
+    gradients of ``sum(forward * g)``."""
+    stride, groups = (1, 2), 2
+    x = rng.normal(size=(2, 4, 5, 7))
+    w = rng.normal(size=(6, 2, 2, 3))
+    g = rng.normal(size=conv2d_forward_np(x, w, stride, groups).shape)
+
+    def loss():
+        return float(np.sum(conv2d_forward_np(x, w, stride, groups) * g))
+
+    def central_difference(a, h=1e-6):
+        grad = np.empty_like(a)
+        for i in np.ndindex(a.shape):
+            keep = a[i]
+            a[i] = keep + h
+            up = loss()
+            a[i] = keep - h
+            grad[i] = (up - loss()) / (2 * h)
+            a[i] = keep
+        return grad
+
+    for name, got, a in [
+            ("input", conv2d_backward_input_np(g, w, x.shape, stride, groups), x),
+            ("kernel", conv2d_backward_kernel_np(g, x, w.shape, stride, groups), w)]:
+        err = max_rel(got, central_difference(a))
+        assert err < 1e-6, f"{name} gradient: max relative error {err:.3e}"

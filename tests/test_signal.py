@@ -101,6 +101,13 @@ def test_plan_rejects_bad_grids():
         signal.make_morlet_plan([10.0, 5.0], 100.0)
 
 
+def test_plan_rejects_frequencies_at_or_above_nyquist():
+    signal.make_morlet_plan([4.0, 63.9], 128.0)
+    for freqs in ([4.0, 64.0], [4.0, 24.0, 44.0, 64.0, 84.0]):
+        with pytest.raises(DataError, match="below fs/2 = 64 Hz"):
+            signal.make_morlet_plan(freqs, 128.0)
+
+
 def test_morlet_zero_signal_is_zero():
     plan = signal.make_morlet_plan([4.0, 8.0], 128.0)
     out = signal.morlet_power(np.zeros((2, 64)), plan)
