@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from .model import DualTsstModel, ModelConfig, config_from_preset
 from .tensor import cross_entropy, no_grad
 
 GRADCHECK_TOL = 1e-3
+# thread-count variables the BLAS libraries numpy links against read at import
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,6 +42,20 @@ def _write_resolved(out_dir, payload: dict) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _environment() -> dict:
+    """What a run's speed depends on besides its config: recorded, never replayed."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": cpus,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
 
 
 def _seed(text) -> int:
@@ -105,6 +123,8 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--t must be >= 1, got {n_times}")
     if not 0 <= args.noise < float("inf"):
         raise UsageError(f"--noise must be a finite number >= 0, got {args.noise}")
+    if not 0 < fs < float("inf"):
+        raise UsageError(f"--fs must be a positive finite number, got {fs}")
     ts = dataio.synth(args.n, ch, n_times, fs, classes, noise=args.noise, seed=args.seed)
     dataio.write_dataset(args.out, ts, name=args.name)
     _write_resolved(args.out, {
@@ -190,10 +210,11 @@ def _load_run_config(path) -> dict:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
-    # "command"/"data" appear in resolved_config.json echoes, and "backend" in
-    # those written while the kernels had a backend switch; all three are
-    # ignored, so a resolved config can be replayed directly via --config
-    allowed = {"model", "train", "preset", "seed", "split", "command", "data", "backend"}
+    # "command"/"data"/"environment" appear in resolved_config.json echoes, and
+    # "backend" in those written while the kernels had a backend switch; all
+    # four are ignored, so a resolved config can be replayed directly via --config
+    allowed = {"model", "train", "preset", "seed", "split",
+               "command", "data", "environment", "backend"}
     unknown = set(raw) - allowed
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -275,6 +296,7 @@ def _cmd_train(args) -> int:
         "model": dataclasses.asdict(model_cfg),
         "train": dataclasses.asdict(train_cfg),
         "data": str(args.data),
+        "environment": _environment(),
     })
 
     def progress(entry):

@@ -15,7 +15,14 @@ nothing is padded.
 * forward: ``irfft(conj(rfft(w)) @ rfft(x))``, first ``W-k+1`` samples;
 * input gradient: ``irfft(rfft(w)^T @ rfft(g))``;
 * kernel gradient: ``irfft(sum over trials and rows of conj(rfft(g)) rfft(x))``,
-  first ``k`` taps.
+  first ``k`` taps;
+* forward followed by a full-height depthwise conv ``d`` (the model's
+  inference path, ``conv2d_forward(..., depthwise=d)``):
+  ``irfft(sum over h of d[o, h] (conj(rfft(w)) @ rfft(x))[o, h])``, so
+  ``Cout`` rows are inverse-transformed instead of ``Cout * H`` (at the
+  bci2a view-1 shape 40 rather than 1,600 per trial).  Folding ``d`` into
+  the time kernel instead would make a ``[Cout, Cin * H, k]`` kernel whose
+  spectrum is about 282 MB at bci2a.
 
 The products are one batched complex ``matmul`` over frequencies, and each
 function transforms one trial at a time, so the spectra of a whole batch
@@ -35,7 +42,9 @@ materialise an im2col buffer:
 
 * forward: ``einsum("nchw,oc->nohw")`` per tap;
 * input gradient: ``einsum("nohw,oc->nchw")`` per tap;
-* kernel gradient: ``einsum("nchw,nohw->oc")`` per tap.
+* kernel gradient: ``einsum("nchw,nohw->oc")`` per tap;
+* forward followed by a depthwise conv: the two forwards one after the
+  other, bit-identical to two calls.
 
 Depthwise convolutions whose kernel spans the full input height, kernels
 ``[C, 1, H, 1]`` over a ``C``-channel input of height ``H`` (every
@@ -141,16 +150,21 @@ def _per_trial(fn, n):
             yield future.result()
 
 
-def _fft_apply(wf, a, out, n):
+def _fft_apply(wf, a, out, n, depthwise=None):
     """``out[b] = irfft(wf @ rfft(a[b]))`` for every trial ``b``, rFFT length ``n``.
 
     ``wf`` is a ``[F, rows, cols]`` kernel spectrum; each result is cut to
-    the first ``out.shape[3]`` samples.
+    the first ``out.shape[3]`` samples.  A ``[rows, H]`` ``depthwise``
+    kernel contracts the product's ``H`` axis before the inverse transform,
+    so ``rows`` signals are inverse-transformed instead of ``rows * H``.
     """
     keep = out.shape[3]
 
     def trial(b):
-        out[b] = _signal(wf @ _spectrum(a[b], n), n)[..., :keep]
+        spec = wf @ _spectrum(a[b], n)
+        if depthwise is not None:
+            spec = np.einsum("foh,oh->fo", spec, depthwise)[:, :, None]
+        out[b] = _signal(spec, n)[..., :keep]
 
     list(_per_trial(trial, len(a)))
     return out
@@ -174,22 +188,42 @@ def _path(w_shape, x_shape) -> str:
         f"[Cout, {cin}, 1, k <= {wd}] nor a full-height depthwise conv [{cin}, 1, {h}, 1]")
 
 
-def conv2d_forward(x, w, stride):
+def _depthwise_forward(x, w):
+    return np.einsum("nchw,ch->ncw", x, w[:, 0, :, 0])[:, :, None, :]
+
+
+def conv2d_forward(x, w, stride, *, depthwise=None):
+    """Valid, stride-1 cross-correlation of ``x`` with ``w``.
+
+    With a full-height ``depthwise`` kernel ``[Cout, 1, H, 1]``, ``w`` must
+    be a time conv and the result is ``conv2d_forward(conv2d_forward(x, w,
+    stride), depthwise, stride)``, ``[N, Cout, 1, W-k+1]``.  On the rFFT
+    path the depthwise sum over ``H`` is taken on the ``[F, Cout, H]``
+    product, before the inverse transform, so the ``[N, Cout, H, W-k+1]``
+    time-conv output is never built; on the tap loop the two convs run one
+    after the other, bit-identical to two calls.
+    """
     if tuple(stride) != (1, 1):
         raise ValueError(f"only stride (1, 1) is supported, got {tuple(stride)}")
     path = _path(w.shape, x.shape)
-    if path == "depthwise":
-        return np.einsum("nchw,ch->ncw", x, w[:, 0, :, 0])[:, :, None, :]
     n, _, h, wd = x.shape
     cout, _, _, k = w.shape
     wo = wd - k + 1
+    if depthwise is not None and (path == "depthwise" or depthwise.shape != (cout, 1, h, 1)):
+        raise ValueError(f"depthwise kernel {tuple(depthwise.shape)} must follow a time conv "
+                         f"{tuple(w.shape)} as [{cout}, 1, {h}, 1]")
+    if path == "depthwise":
+        return _depthwise_forward(x, w)
     if path == "fft":
         wf = _spectrum(w[:, :, 0, :], wd).conj()  # [F, Cout, Cin]
-        return _fft_apply(wf, x, np.empty((n, cout, h, wo), dtype=x.dtype), wd)
+        if depthwise is None:
+            return _fft_apply(wf, x, np.empty((n, cout, h, wo), dtype=x.dtype), wd)
+        return _fft_apply(wf, x, np.empty((n, cout, 1, wo), dtype=x.dtype), wd,
+                          depthwise[:, 0, :, 0])
     out = np.zeros((n, cout, h, wo), dtype=x.dtype)
     for q in range(k):
         out += np.einsum("nchw,oc->nohw", x[..., q : q + wo], w[:, :, 0, q])
-    return out
+    return out if depthwise is None else _depthwise_forward(out, depthwise)
 
 
 def conv2d_backward_input(gout, w, x_shape):

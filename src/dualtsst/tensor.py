@@ -213,12 +213,17 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
+# add and mul reduce a gradient only for an operand that takes one: a
+# constant operand (an attention scale, a mean's 1/n, a negation's -1) would
+# cost a product the size of the output that backward then drops
+
+
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = a.data + b.data
 
     def vjp(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape)))
+        return tuple((t, _unbroadcast(g, t.data.shape)) for t in (a, b) if t.requires_grad)
 
     return _track(out, (a, b), vjp)
 
@@ -228,10 +233,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def vjp(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.data.shape)),
-            (b, _unbroadcast(g * a.data, b.data.shape)),
-        )
+        return tuple((t, _unbroadcast(g * other.data, t.data.shape))
+                     for t, other in ((a, b), (b, a)) if t.requires_grad)
 
     return _track(out, (a, b), vjp)
 
@@ -513,6 +516,16 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     return _track(out, (x, gamma, beta), vjp)
 
 
+def _normalise_depthwise(out, mu, a, beta, ksum):
+    """``a * (out - mu * ksum) + beta * ksum`` per channel, in place: batch
+    norm moved behind a depthwise conv whose kernels sum to ``ksum``."""
+    gshape = (1, -1, 1, 1)
+    out -= (mu * ksum).reshape(gshape)
+    out *= a.reshape(gshape)
+    out += (beta * ksum).reshape(gshape)
+    return out
+
+
 def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, train: bool,
                          momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """``conv2d(batch_norm(x, ...), kernel)`` without the normalised x.
@@ -539,10 +552,8 @@ def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, trai
     inv = 1.0 / np.sqrt(var + eps)
     a = gamma.data * inv
     ksum = kernel.data.sum(axis=(1, 2, 3))
-    out = kernels.conv2d_forward(x.data, kernel.data, (1, 1))
-    out -= (mu * ksum).reshape(gshape)
-    out *= a.reshape(gshape)
-    out += (beta.data * ksum).reshape(gshape)
+    out = _normalise_depthwise(kernels.conv2d_forward(x.data, kernel.data, (1, 1)),
+                               mu, a, beta.data, ksum)
 
     def vjp(g):
         gsum = g.sum(axis=axes)
@@ -564,6 +575,29 @@ def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, trai
         return ((x, gx), (gamma, ggamma), (beta, gbeta), (kernel, gkernel))
 
     return _track(out, (x, gamma, beta, kernel), vjp)
+
+
+def conv2d_batch_norm_depthwise(x, kernel, gamma, beta, running_mean, running_var,
+                                depthwise, eps: float = 1e-5) -> Tensor:
+    """Inference-only ``batch_norm_depthwise(conv2d(x, kernel), gamma, beta,
+    running_mean, running_var, depthwise, train=False)``.
+
+    ``kernels.conv2d_forward`` runs both convs in one call, so a time conv
+    on the rFFT path inverse-transforms ``Cout`` rows rather than
+    ``Cout * H`` and never builds its ``[N, Cout, H, W-k+1]`` output; the
+    eval-mode batch norm is then the same per-channel arithmetic as in
+    :func:`batch_norm_depthwise`.  No graph is recorded, so it may only run
+    under :class:`no_grad`.
+    """
+    if is_grad_enabled():
+        raise ValueError("conv2d_batch_norm_depthwise records no graph; call it under no_grad")
+    x, kernel, depthwise = as_tensor(x), as_tensor(kernel), as_tensor(depthwise)
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ValueError("conv2d_batch_norm_depthwise expects 4-d input and kernel")
+    a = as_tensor(gamma).data * (1.0 / np.sqrt(running_var + eps))  # as batch_norm_depthwise
+    out = kernels.conv2d_forward(x.data, kernel.data, (1, 1), depthwise=depthwise.data)
+    return Tensor(_normalise_depthwise(out, running_mean, a, as_tensor(beta).data,
+                                       depthwise.data.sum(axis=(1, 2, 3))))
 
 
 def gap(x) -> Tensor:

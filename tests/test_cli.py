@@ -124,6 +124,10 @@ def test_augment_segments_out_of_range_exits_2(tmp_path, mini_data, capsys, r):
     pytest.param(["synth", "--preset", "mini", "--ch", "0"], "--ch", id="ch-zero"),
     pytest.param(["synth", "--preset", "mini", "--ch", "-1"], "--ch", id="ch-negative"),
     pytest.param(["synth", "--preset", "mini", "--n", "-1"], "--n", id="n-negative"),
+    pytest.param(["synth", "--preset", "mini", "--fs", "0"], "--fs", id="fs-zero"),
+    pytest.param(["synth", "--preset", "mini", "--fs", "-5"], "--fs", id="fs-negative"),
+    pytest.param(["synth", "--preset", "mini", "--fs", "inf"], "--fs", id="fs-inf"),
+    pytest.param(["synth", "--preset", "mini", "--fs", "nan"], "--fs", id="fs-nan"),
     pytest.param(["transform", "--preset", "mini", "--freq-step", "0"], "--freq-step",
                  id="freq-step-zero"),
     pytest.param(["transform", "--preset", "mini", "--freq-step", "inf"], "--freq-step",
@@ -324,6 +328,29 @@ def test_resolved_config_with_backend_key_still_replays(tmp_path, mini_data):
     assert dispatch(["train", "--data", str(mini_data), "--out", str(out2),
                      "--config", str(old), "--quiet"]) == 0
     assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
+
+
+def test_resolved_config_records_the_environment_and_still_replays(tmp_path, mini_data,
+                                                                  monkeypatch):
+    """train records the environment next to the config; a replay ignores
+    the block, even one from another machine."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out1 = tmp_path / "r1"
+    assert dispatch(train_args(mini_data, out1)) == 0
+    resolved = json.loads((out1 / "resolved_config.json").read_text())
+    env = resolved["environment"]
+    assert set(env) == {"python", "numpy", "cpu_count", "blas_threads"}
+    assert env["numpy"] == np.__version__ and isinstance(env["python"], str)
+    assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
+    assert env["blas_threads"]["OMP_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**resolved, "environment": {"python": "0.0", "cpu_count": 512}}))
+    for cfg, out in ((out1 / "resolved_config.json", tmp_path / "r2"), (other, tmp_path / "r3")):
+        assert dispatch(["train", "--data", str(mini_data), "--out", str(out),
+                         "--config", str(cfg), "--quiet"]) == 0
+        assert (out1 / "log.csv").read_bytes() == (out / "log.csv").read_bytes()
 
 
 def test_ablation_flags(tmp_path, mini_data):

@@ -308,6 +308,132 @@ def test_gradcheck_through_depthwise_convs():
 
 
 # ---------------------------------------------------------------------------
+# a time conv and the depthwise conv after it, in one call (inference)
+# ---------------------------------------------------------------------------
+
+
+def time_then_depthwise(rng, n, cin, h, wd, k, transposed=False, dtype=np.float64, cout=40):
+    """Input, time kernel and depthwise kernel of one branch; a ``transposed``
+    input is a transposed view, as branch 2's view 2 is."""
+    if transposed:
+        x = rng.normal(size=(n, h, cin, wd)).astype(dtype).transpose(0, 2, 1, 3)
+    else:
+        x = rng.normal(size=(n, cin, h, wd)).astype(dtype)
+    return (x, rng.normal(size=(cout, cin, 1, k)).astype(dtype),
+            rng.normal(size=(cout, 1, h, 1)).astype(dtype))
+
+
+def composed_oracle(x, w, d):
+    return conv2d_forward_np(conv2d_forward_np(x, w, ONE, 1), d, ONE, d.shape[0])
+
+
+BRANCH_SHAPES = {  # cin, h, wd, k, transposed
+    "bci2a-branch1": (1, 22, 1000, 30, False),
+    "bci2a-view1": (22, 40, 1000, 125, False),
+    "bci2a-view2": (40, 22, 1000, 125, True),
+    "bci2b-branch1": (1, 3, 1125, 30, False),
+    "bci2b-view1": (3, 40, 1125, 125, False),
+    "bci2b-view2": (40, 3, 1125, 125, True),
+    "seed-branch1": (1, 62, 200, 30, False),
+    "seed-view1": (62, 50, 200, 125, False),
+    "seed-view2": (50, 62, 200, 125, True),
+}
+
+
+@pytest.fixture(scope="module", params=list(BRANCH_SHAPES.values()), ids=list(BRANCH_SHAPES))
+def branch_case(request):
+    """Four trials of one branch shape and their oracle.  Direct summation
+    at these shapes takes seconds per trial, and the convs are linear in
+    each trial, so trials 2 and 3 are combinations of trials 0 and 1 and so
+    are their oracles."""
+    cin, h, wd, k, transposed = request.param
+    x2, w, d = time_then_depthwise(np.random.default_rng(cin + h + k), 2, cin, h, wd, k,
+                                   transposed)
+    want2 = composed_oracle(x2, w, d)
+    mix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -2.0], [0.0, 3.0]])
+    x = np.einsum("bn,nchw->bchw", mix, x2)
+    if transposed:
+        x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    return x, w, d, np.einsum("bn,nchw->bchw", mix, want2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_time_then_depthwise_matches_the_composed_oracle(branch_case, n):
+    x, w, d, want = branch_case
+    k = w.shape[3]
+    assert k >= kernels.FFT_MIN_TAPS
+    got = kernels.conv2d_forward(x[:n], w, ONE, depthwise=d)
+    assert got.shape == (n, 40, 1, x.shape[3] - k + 1) and got.dtype == np.float64
+    err = max_rel(got, want[:n])
+    assert err <= FFT_TOL, f"max relative error {err:.3e}"
+
+
+def test_time_then_depthwise_keeps_float32():
+    x, w, d = time_then_depthwise(np.random.default_rng(7), 3, 4, 5, 80, 20,
+                                  dtype=np.float32, cout=6)
+    got = kernels.conv2d_forward(x, w, ONE, depthwise=d)
+    assert got.dtype == np.float32
+    want = composed_oracle(*(a.astype(np.float64) for a in (x, w, d)))
+    assert max_rel(got, want) < 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_time_then_depthwise_threads_equal_the_serial_loop(monkeypatch, n):
+    x, w, d = time_then_depthwise(np.random.default_rng(n), n, 3, 4, 60, 20, cout=5)
+    threaded = kernels.conv2d_forward(x, w, ONE, depthwise=d)
+    again = kernels.conv2d_forward(x, w, ONE, depthwise=d)
+    monkeypatch.setattr(kernels, "_per_trial", lambda fn, n: [fn(b) for b in range(n)])
+    serial = kernels.conv2d_forward(x, w, ONE, depthwise=d)
+    assert np.array_equal(threaded, again), "repeated calls differ"
+    assert np.array_equal(threaded, serial), "threads differ from the serial loop"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cin, h, k, transposed", [
+    (1, 4, 7, False),                          # mini branch1
+    (4, 6, 9, False),                          # mini branch2.view1
+    (6, 4, 9, True),                           # mini branch2.view2
+    (2, 3, kernels.FFT_MIN_TAPS - 1, False),
+])
+def test_time_then_depthwise_below_fft_taps_is_two_calls_bit_for_bit(cin, h, k, transposed,
+                                                                      dtype):
+    x, w, d = time_then_depthwise(np.random.default_rng(k), 8, cin, h, 64, k, transposed,
+                                  dtype, cout=3)
+    got = kernels.conv2d_forward(x, w, ONE, depthwise=d)
+    assert got.dtype == dtype
+    assert np.array_equal(got, kernels.conv2d_forward(kernels.conv2d_forward(x, w, ONE), d, ONE))
+
+
+def test_time_then_depthwise_inverse_transforms_cout_rows(computed, monkeypatch, rng):
+    """On the rFFT path the depthwise sum is one contraction on the
+    spectrum, and the inverse transform sees [F, Cout, 1], not [F, Cout, H]."""
+    inverse = []
+    signal = kernels._signal
+
+    def spy_signal(spec, n):
+        inverse.append(spec.shape)
+        return signal(spec, n)
+
+    monkeypatch.setattr(kernels, "_signal", spy_signal)
+    x, w, d = time_then_depthwise(rng, 3, 4, 5, 40, kernels.FFT_MIN_TAPS, cout=2)
+    kernels.conv2d_forward(x, w, ONE, depthwise=d)
+    # one kernel spectrum, then per trial (in any order across threads) its spectrum and the sum
+    assert sorted(computed) == sorted(["rfft"] + ["rfft", "foh,oh->fo"] * 3)
+    assert inverse == [(21, 2, 1)] * 3
+
+
+def test_time_then_depthwise_rejects_other_kernels(rng):
+    x, w, d = time_then_depthwise(rng, 2, 4, 3, 40, 20, cout=2)
+    for bad in [rng.normal(size=(2, 1, 2, 1)),   # partial height
+                rng.normal(size=(3, 1, 3, 1)),   # another channel count
+                rng.normal(size=(2, 2, 1, 5))]:  # a time conv
+        with pytest.raises(ValueError, match="depthwise kernel"):
+            kernels.conv2d_forward(x, w, ONE, depthwise=bad)
+    with pytest.raises(ValueError, match="depthwise kernel"):  # after a depthwise conv
+        kernels.conv2d_forward(x, rng.normal(size=(4, 1, 3, 1)), ONE, depthwise=d)
+
+
+# ---------------------------------------------------------------------------
 # the tap loop and the oracle
 # ---------------------------------------------------------------------------
 

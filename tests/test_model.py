@@ -149,6 +149,92 @@ def test_transposed_view_2_matches_a_contiguous_copy(rng, time_kernel_tfr, train
 
 
 # ---------------------------------------------------------------------------
+# inference: the depthwise conv inside the time conv
+# ---------------------------------------------------------------------------
+
+ABLATIONS = [
+    pytest.param({}, id="full"),
+    pytest.param({"use_branch1": False}, id="no-branch1"),
+    pytest.param({"use_branch2_input1": False}, id="no-view1"),
+    pytest.param({"use_branch2_input2": False}, id="no-view2"),
+    pytest.param({"use_branch2_input1": False, "use_branch2_input2": False}, id="branch1-only"),
+    pytest.param({"use_branch1": False, "use_branch2_input2": False}, id="view1-only"),
+    pytest.param({"use_branch1": False, "use_branch2_input1": False}, id="view2-only"),
+    pytest.param({"use_transformer": False}, id="no-transformer"),
+]
+
+
+def rfft_config(**overrides) -> ModelConfig:
+    """A small model whose time convs all take the rFFT path."""
+    cfg = ModelConfig(n_channels=3, n_times=48, n_freqs=4, n_classes=3,
+                      branch_channels=5, embed_dim=8, time_kernel_raw=16, time_kernel_tfr=21,
+                      pool_raw=10, pool_raw_stride=4, pool_tfr=8, pool_tfr_stride=4,
+                      encoder_layers=2, encoder_heads=2, classifier_hidden=6)
+    return dataclasses.replace(cfg, **overrides)
+
+
+def stirred_model(cfg) -> DualTsstModel:
+    """A model whose batch norms hold running statistics far from 0 and 1."""
+    model = DualTsstModel(cfg, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for name, buf in model.buffers.items():
+        buf[...] = (rng.uniform(0.2, 3.0, buf.shape) if name.endswith("running_var")
+                    else rng.normal(0.0, 2.0, buf.shape))
+    for name, p in model.params.items():
+        if ".bn" in name:
+            p.data = p.data + rng.normal(0.0, 0.5, p.data.shape)
+    return model
+
+
+def graph_and_inference_logits(model, rng, n=3):
+    eeg, tfr = mini_inputs(rng, n=n, cfg=model.config)
+    graph = model.forward(eeg, tfr, train=False)  # records a graph: the unfused ops
+    assert graph.requires_grad
+    with T.no_grad():
+        inference = model.forward(eeg, tfr, train=False)
+    return graph.data, inference.data
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_inference_logits_match_the_graph_logits(rng, ablation):
+    graph, inference = graph_and_inference_logits(stirred_model(rfft_config(**ablation)), rng)
+    err = np.max(np.abs(inference - graph)) / np.max(np.abs(graph))
+    assert err <= 1e-10, f"max relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_mini_inference_logits_are_bit_identical(rng, ablation):
+    graph, inference = graph_and_inference_logits(stirred_model(mini_config(**ablation)), rng)
+    assert np.array_equal(inference, graph)
+
+
+def test_evaluate_makes_no_depthwise_conv_call(monkeypatch):
+    from dualtsst import kernels, train
+
+    model = stirred_model(rfft_config())
+    cfg = model.config
+    calls = []
+    forward = kernels.conv2d_forward
+
+    def spy(x, w, stride, **kwargs):
+        calls.append((w.shape, kwargs.get("depthwise")))
+        return forward(x, w, stride, **kwargs)
+
+    monkeypatch.setattr(kernels, "conv2d_forward", spy)
+    eeg, tfr = mini_inputs(np.random.default_rng(5), n=5, cfg=cfg)
+    ts = dataio.TrialSet(eeg=eeg, labels=np.arange(5) % cfg.n_classes, fs=128.0, tfr=tfr,
+                         class_names=["a", "b", "c"])
+    train.evaluate(model, ts, batch_size=3)
+    time_convs = [(cfg.branch_channels, cin, 1, k) for cin, k in (
+        (1, cfg.time_kernel_raw), (cfg.n_channels, cfg.time_kernel_tfr),
+        (cfg.n_freqs, cfg.time_kernel_tfr))]
+    assert calls, "evaluate made no conv call"
+    assert not [s for s, _ in calls if s[1] == 1 and s[3] == 1 and s[2] > 1], calls
+    fused = [s for s, d in calls if d is not None]
+    assert sorted(fused) == sorted(time_convs * 2)  # two batches, three branches each
+
+
+# ---------------------------------------------------------------------------
 # encoder behaviour
 # ---------------------------------------------------------------------------
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtsst import tensor as T
+from dualtsst import kernels, tensor as T
 from dualtsst.gradcheck import central_difference, max_relative_error
 
 OP_TOL = 1e-4  # per-op gradient tolerance at h=1e-6
@@ -382,6 +382,25 @@ def test_batch_norm_depthwise_rejects_a_non_depthwise_kernel(rng):
             T.batch_norm_depthwise(x, gamma, beta, rm, rv, T.Tensor(np.ones(shape)), train=True)
 
 
+@pytest.mark.parametrize("taps", [5, 20])  # tap loop and rFFT
+def test_conv2d_batch_norm_depthwise_equals_the_graph_ops(rng, taps):
+    x = T.Tensor(rng.normal(size=(3, 2, 4, 40)))
+    w = leaf(rng, 3, 2, 1, taps)
+    kernel, gamma, beta = leaf(rng, 3, 1, 4, 1), leaf(rng, 3), leaf(rng, 3)
+    rm, rv = rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.5
+    want = T.batch_norm_depthwise(T.conv2d(x, w), gamma, beta, rm, rv, kernel, train=False)
+    with T.no_grad():
+        got = T.conv2d_batch_norm_depthwise(x, w, gamma, beta, rm, rv, kernel)
+    assert got.shape == want.shape == (3, 3, 1, 41 - taps)
+    assert not got.requires_grad
+    if taps < kernels.FFT_MIN_TAPS:
+        assert np.array_equal(got.data, want.data)
+    else:
+        assert np.max(np.abs(got.data - want.data)) / np.max(np.abs(want.data)) <= 1e-12
+    with pytest.raises(ValueError, match="no_grad"):  # it would drop every gradient
+        T.conv2d_batch_norm_depthwise(x, w, gamma, beta, rm, rv, kernel)
+
+
 # ---------------------------------------------------------------------------
 # elu / linear / softmax / layer_norm / gap
 # ---------------------------------------------------------------------------
@@ -525,6 +544,54 @@ def test_dropout_train_shape_and_grad(rng):
 # ---------------------------------------------------------------------------
 # backward semantics
 # ---------------------------------------------------------------------------
+
+
+def _add_every_vjp(a, b):
+    """``tensor.add`` as it was: a gradient for both operands."""
+    a, b = T._pair(a, b)
+    return T._track(a.data + b.data, (a, b), lambda g: (
+        (a, T._unbroadcast(g, a.data.shape)), (b, T._unbroadcast(g, b.data.shape))))
+
+
+def _mul_every_vjp(a, b):
+    """``tensor.mul`` as it was: a gradient for both operands."""
+    a, b = T._pair(a, b)
+    return T._track(a.data * b.data, (a, b), lambda g: (
+        (a, T._unbroadcast(g * b.data, a.data.shape)),
+        (b, T._unbroadcast(g * a.data, b.data.shape))))
+
+
+def test_add_and_mul_skip_the_gradient_of_a_constant(rng):
+    x = leaf(rng, 2, 3)
+    c = T.Tensor(rng.normal(size=(2, 3)))
+    g = np.ones((2, 3))
+    for out in (x * 0.5, 0.5 * x, x * c, c * x, x + 1.0, c + x, -x, x - c, c - x, T.gap(x)):
+        # one gradient, for the operand on x's side of the graph
+        assert [p.requires_grad for p, _ in out._vjp(np.ones(out.shape))] == [True]
+    assert [p for p, _ in (x * x)._vjp(g)] == [x, x]
+
+
+def test_parameter_gradients_unchanged_by_skipping_constant_vjps(monkeypatch):
+    from dualtsst import dataio
+    from dualtsst.model import DualTsstModel, config_from_preset
+
+    cfg = config_from_preset(dataio.preset("mini"))
+    rng = np.random.default_rng(8)
+    eeg = rng.normal(size=(3, cfg.n_channels, cfg.n_times))
+    tfr = rng.normal(size=(3, cfg.n_channels, cfg.n_freqs, cfg.n_times))
+
+    def grads():
+        model = DualTsstModel(cfg, rng=np.random.default_rng(0))
+        T.backward(T.cross_entropy(model.forward(eeg, tfr, train=True), np.array([0, 1, 1])))
+        return {name: p.grad for name, p in model.params.items()}
+
+    got = grads()
+    monkeypatch.setattr(T, "add", _add_every_vjp)
+    monkeypatch.setattr(T, "mul", _mul_every_vjp)
+    want = grads()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_backward_sum_gives_ones():
