@@ -23,7 +23,8 @@ from . import dataio, metrics, train as training
 from .dataio import _is_int, _is_num
 from .errors import DataError, DualTsstError, NumericalError, UsageError
 from .gradcheck import check_gradients
-from .model import DualTsstModel, ModelConfig, config_from_preset
+from .model import (RETIRED_MODEL_KEYS, DualTsstModel, ModelConfig, config_from_preset,
+                    drop_retired)
 from .tensor import cross_entropy, no_grad
 
 GRADCHECK_TOL = 1e-3
@@ -222,12 +223,14 @@ def _load_run_config(path) -> dict:
         raise DataError(f"{path}: preset must be a string, got {raw['preset']!r}")
     if "seed" in raw and not _is_int(raw["seed"]):
         raise DataError(f"{path}: seed must be an integer, got {raw['seed']!r}")
-    for section, cls in (("model", ModelConfig), ("train", training.TrainConfig),
-                         ("split", dataio.SplitPlan)):
+    for section, cls, retired in (("model", ModelConfig, RETIRED_MODEL_KEYS),
+                                  ("train", training.TrainConfig, training.RETIRED_TRAIN_KEYS),
+                                  ("split", dataio.SplitPlan, {})):
         if section not in raw:
             continue
         if not isinstance(raw[section], dict):
             raise DataError(f"{path}: {section} must be a JSON object, got {raw[section]!r}")
+        raw[section] = drop_retired(raw[section], retired, f"{path}: {section}.")
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         bad = set(raw[section]) - set(types)
         if bad:
@@ -371,11 +374,11 @@ def _cmd_stats(args) -> int:
     if a.size != b.size:
         raise DataError(f"paired columns differ in length ({a.size} vs {b.size})")
     res = metrics.wilcoxon_signed_rank(a, b)
-    if not res.defined:
+    if res.defined:
+        print(f"wilcoxon W={res.statistic:g} p={res.p_value:.6g} "
+              f"(n_effective={res.n_effective}, {res.method})")
+    else:
         print("wilcoxon: undefined (all paired differences are zero)")
-        return 0
-    print(f"wilcoxon W={res.statistic:g} p={res.p_value:.6g} "
-          f"(n_effective={res.n_effective}, {res.method})")
     if args.out:
         _write_resolved(args.out, {
             "command": "stats",

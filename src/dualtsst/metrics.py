@@ -1,9 +1,9 @@
 """Evaluation statistics: accuracy, chance-corrected agreement (kappa),
 confusion matrices, and the Wilcoxon signed-rank paired test.
 
-Kappa uses marginal-product chance agreement by default (the standard
-convention); ``chance="uniform"`` substitutes 1/M.  For class-balanced
-data the two coincide.
+Kappa's chance agreement is the product of the true and predicted class
+marginals (Cohen's convention); for class-balanced true labels it equals
+1/M.
 
 The Wilcoxon test drops zero differences, midranks ties, and reports
 W = min(W+, W-) with a two-sided p-value.  With at most 12 effective
@@ -55,22 +55,18 @@ def accuracy(cm: np.ndarray) -> float:
     return float(np.trace(cm) / total)
 
 
-def expected_agreement(cm: np.ndarray, chance: str = "marginal") -> float:
+def expected_agreement(cm: np.ndarray) -> float:
     cm = np.asarray(cm, dtype=np.float64)
     total = cm.sum()
     if total == 0:
         raise DataError("empty confusion matrix")
-    if chance == "marginal":
-        return float(np.sum(cm.sum(axis=1) * cm.sum(axis=0)) / total**2)
-    if chance == "uniform":
-        return 1.0 / cm.shape[0]
-    raise DataError(f"unknown chance model {chance!r}")
+    return float(np.sum(cm.sum(axis=1) * cm.sum(axis=0)) / total**2)
 
 
-def kappa(cm: np.ndarray, chance: str = "marginal") -> float:
+def kappa(cm: np.ndarray) -> float:
     """(P_o - P_e) / (1 - P_e)."""
     p_o = accuracy(cm)
-    p_e = expected_agreement(cm, chance)
+    p_e = expected_agreement(cm)
     if p_e >= 1.0:
         # every marginal concentrated on one class; agreement is total or broken
         if p_o == 1.0:
@@ -256,17 +252,13 @@ def load_report(out_dir) -> EvalReport:
     )
 
 
-def subject_summary(groups: dict, n_classes: int | None = None) -> dict:
+def subject_summary(groups: dict, n_classes: int) -> dict:
     """Per-subject accuracies plus pooled and averaged kappa.
 
     ``groups`` maps subject id -> (y_true, y_pred).
     """
     if not groups:
         raise DataError("no subjects to summarise")
-    if n_classes is None:
-        n_classes = 1 + max(
-            int(max(np.max(t), np.max(p))) for t, p in groups.values()
-        )
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     per_subject = {}
     kappas = []

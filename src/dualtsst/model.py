@@ -25,15 +25,17 @@ time-conv output is never built.  Its logits are bit-identical to the
 graph path's below ``kernels.FFT_MIN_TAPS`` taps (the ``mini`` preset)
 and agree to about 1e-15 relative above.
 
-Attention scores are scaled by sqrt(embed_dim) (the full embedding width,
-not the per-head width); set ``per_head_scaling`` to use sqrt(head_dim)
-instead.
+Attention scores are scaled by 1/sqrt(embed_dim), the full embedding
+width, not the per-head width.  The encoder MLP widens to
+``ENCODER_MLP_RATIO`` times the embedding, and training mode zeroes no
+activations: the forward pass draws no random numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +54,22 @@ _PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 LN_EPS = 1e-5
+ENCODER_MLP_RATIO = 2
+
+# options that were removed, with the one value every run used; checkpoints
+# and resolved configs written before their removal still carry them
+RETIRED_MODEL_KEYS = {"encoder_mlp_ratio": 2, "dropout": 0.0, "per_head_scaling": False}
+
+
+def drop_retired(values: dict, retired: dict, prefix: str) -> dict:
+    """``values`` without the ``retired`` keys, each of which must hold its one
+    value: a file that asks for another was made by behaviour that is gone."""
+    for key, kept in retired.items():
+        value = values.get(key, kept)
+        if value != kept or isinstance(value, bool) != isinstance(kept, bool):
+            raise DataError(f"{prefix}{key} is retired; only {json.dumps(kept)} is accepted, "
+                            f"got {json.dumps(value)}")
+    return {k: v for k, v in values.items() if k not in retired}
 
 
 @dataclass
@@ -73,14 +91,11 @@ class ModelConfig:
     pool_tfr_stride: int = 0         # 0 -> pool_tfr // 2
     encoder_layers: int = 4
     encoder_heads: int = 10
-    encoder_mlp_ratio: int = 2
     classifier_hidden: int = 64
-    dropout: float = 0.0
     use_branch1: bool = True
     use_branch2_input1: bool = True
     use_branch2_input2: bool = True
     use_transformer: bool = True
-    per_head_scaling: bool = False
 
     # -- derived geometry ----------------------------------------------------
 
@@ -117,22 +132,23 @@ class ModelConfig:
         return total
 
     def validate(self) -> None:
-        for name in ("n_channels", "n_times", "n_freqs", "n_classes",
-                     "branch_channels", "embed_dim", "classifier_hidden"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        positive = ("n_channels", "n_times", "n_freqs", "n_classes", "branch_channels",
+                    "embed_dim", "classifier_hidden", "time_kernel_raw", "time_kernel_tfr",
+                    "pool_raw", "pool_tfr")
+        lows = {**dict.fromkeys(positive, 1), "pool_raw_stride": 0, "pool_tfr_stride": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (self.use_branch1 or self.use_branch2_input1 or self.use_branch2_input2):
             raise DataError("all branches disabled; at least one input must remain")
         if self.use_transformer:
-            for name in ("encoder_layers", "encoder_heads", "encoder_mlp_ratio"):
+            for name in ("encoder_layers", "encoder_heads"):
                 if getattr(self, name) < 1:
                     raise DataError(f"{name} must be >= 1 when the transformer is enabled")
             if self.embed_dim % self.encoder_heads:
                 raise DataError(
                     f"embed_dim={self.embed_dim} not divisible by heads={self.encoder_heads}"
                 )
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.use_branch1:
             if self.time_kernel_raw > self.n_times:
                 raise DataError(
@@ -245,7 +261,7 @@ class DualTsstModel:
 
     def _build_encoder_layer(self, prefix: str):
         d = self.config.embed_dim
-        hidden = d * self.config.encoder_mlp_ratio
+        hidden = d * ENCODER_MLP_RATIO
         for proj in ("q", "k", "v", "o"):
             self._linear_param(f"{prefix}.{proj}", d, d)
         self._param(f"{prefix}.ln1.gamma", np.ones(d))
@@ -335,9 +351,7 @@ class DualTsstModel:
             raise DataError("no branch outputs to fuse")
         return T.concat(outputs, axis=-2)
 
-    def encoder_forward(self, fused, train: bool = False,
-                        rng: np.random.Generator | None = None,
-                        attention_maps: list | None = None) -> Tensor:
+    def encoder_forward(self, fused, attention_maps: list | None = None) -> Tensor:
         """Add the positional encoding, then run the post-norm encoder stack.
 
         When ``attention_maps`` is a list, each layer appends its attention
@@ -354,20 +368,16 @@ class DualTsstModel:
             )
         x = fused + pos
         for i in range(c.encoder_layers):
-            x = self._encoder_layer(f"encoder.{i}", x, train, rng, attention_maps)
+            x = self._encoder_layer(f"encoder.{i}", x, attention_maps)
         return x
 
-    def _encoder_layer(self, prefix: str, x, train: bool,
-                       rng: np.random.Generator | None,
-                       attention_maps: list | None = None):
+    def _encoder_layer(self, prefix: str, x, attention_maps: list | None = None):
         a = self._mha(prefix, x, attention_maps)
-        a = self._maybe_dropout(a, train, rng)
         x = T.layer_norm(x + a, self.params[f"{prefix}.ln1.gamma"],
                          self.params[f"{prefix}.ln1.beta"], eps=LN_EPS)
         m = T.linear(x, self.params[f"{prefix}.mlp1.weight"], self.params[f"{prefix}.mlp1.bias"])
         m = T.elu(m)
         m = T.linear(m, self.params[f"{prefix}.mlp2.weight"], self.params[f"{prefix}.mlp2.bias"])
-        m = self._maybe_dropout(m, train, rng)
         return T.layer_norm(x + m, self.params[f"{prefix}.ln2.gamma"],
                             self.params[f"{prefix}.ln2.beta"], eps=LN_EPS)
 
@@ -385,21 +395,13 @@ class DualTsstModel:
             return T.transpose(t, (0, 2, 1, 3))  # [N, h, L, hd]
 
         q, k, v = split(q), split(k), split(v)
-        scale = head_dim if c.per_head_scaling else d
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(scale))
+        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
         attn = T.softmax(scores, axis=-1)
         if attention_maps is not None:
             attention_maps.append(attn.data)
         ctx = T.matmul(attn, v)  # [N, h, L, hd]
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, seq, d))
         return T.linear(ctx, self.params[f"{prefix}.o.weight"], self.params[f"{prefix}.o.bias"])
-
-    def _maybe_dropout(self, x, train: bool, rng: np.random.Generator | None):
-        if not train or self.config.dropout == 0.0:
-            return x
-        if rng is None:
-            raise DataError("dropout > 0 requires an rng in training mode")
-        return T.dropout(x, self.config.dropout, rng)
 
     def classify(self, encoded) -> Tensor:
         """GAP over the sequence axis, then the two-layer head; returns logits."""
@@ -408,8 +410,7 @@ class DualTsstModel:
         h = T.elu(h)
         return T.linear(h, self.params["classifier.fc2.weight"], self.params["classifier.fc2.bias"])
 
-    def _encode(self, eeg, tfr, train: bool,
-                rng: np.random.Generator | None) -> Tensor:
+    def _encode(self, eeg, tfr, train: bool) -> Tensor:
         """Fused (and, unless ablated, encoded) feature sequence [N, L, D]."""
         c = self.config
         outs = []
@@ -432,18 +433,16 @@ class DualTsstModel:
             outs.extend(self.branch2_forward(v1, v2, train=train))
         fused = self.fuse(outs)
         if c.use_transformer:
-            fused = self.encoder_forward(fused, train=train, rng=rng)
+            fused = self.encoder_forward(fused)
         return fused
 
-    def pooled_features(self, eeg, tfr, train: bool = False,
-                        rng: np.random.Generator | None = None) -> Tensor:
+    def pooled_features(self, eeg, tfr, train: bool = False) -> Tensor:
         """Pre-classifier features [N, D]: the encoded sequence after GAP."""
-        return T.gap(self._encode(eeg, tfr, train, rng))
+        return T.gap(self._encode(eeg, tfr, train))
 
-    def forward(self, eeg, tfr, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, eeg, tfr, train: bool = False) -> Tensor:
         """Full pass from input views to logits [N, n_classes]."""
-        return self.classify(self._encode(eeg, tfr, train, rng))
+        return self.classify(self._encode(eeg, tfr, train))
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -460,7 +459,9 @@ class DualTsstModel:
     def save(self, path) -> None:
         """Checkpoint (version 2): magic, version, config JSON, then named tensors
         (parameters first, then buffers) in registry order, each stored in the
-        model's dtype behind a one-byte dtype code, so a reload is bit-identical."""
+        model's dtype behind a one-byte dtype code, so a reload is bit-identical.
+        It is written beside ``path`` and renamed over it: a failed save leaves
+        the file already at ``path`` as it was."""
         code = next((c for c, dt in _PAYLOAD_DTYPES.items() if dt == self.dtype), None)
         if code is None:
             raise ValueError(f"cannot checkpoint a {self.dtype} model")
@@ -469,24 +470,26 @@ class DualTsstModel:
         cfg = json.dumps(dataclasses.asdict(self.config)).encode()
         entries = [(n, p.data) for n, p in self.params.items()]
         entries += [(n, b) for n, b in self.buffers.items()]
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(cfg)))
-            fh.write(cfg)
-            fh.write(struct.pack("<I", len(entries)))
-            for name, arr in entries:
-                nb = name.encode()
-                fh.write(struct.pack("<I", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<B", code))
-                fh.write(pack_record(arr, _PAYLOAD_DTYPES[code]))
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg)) + cfg)
+                fh.write(struct.pack("<I", len(entries)))
+                for name, arr in entries:
+                    nb = name.encode()
+                    fh.write(struct.pack("<I", len(nb)) + nb + struct.pack("<B", code))
+                    fh.write(pack_record(arr, _PAYLOAD_DTYPES[code]))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path, dtype=np.float64) -> "DualTsstModel":
         """Read a version 1 (all float32) or version 2 checkpoint and cast every
-        tensor to ``dtype``.  A truncated or garbled file, or one made for
-        another configuration, raises DataError."""
+        tensor to ``dtype``.  A truncated or garbled file, one made for
+        another configuration, or one whose config sets a retired option to
+        anything but its one value (``RETIRED_MODEL_KEYS``) raises DataError."""
         path = Path(path)
         rd = ByteCursor(path.read_bytes(), path)
         magic = rd.take(4, "magic")
@@ -497,7 +500,10 @@ class DualTsstModel:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         cfg_bytes = rd.take(cfg_len, "model config")
         try:
-            cfg = ModelConfig(**json.loads(cfg_bytes.decode()))
+            raw = json.loads(cfg_bytes.decode())
+            if not isinstance(raw, dict):
+                raise DataError(f"{path}: model config is not a JSON object")
+            cfg = ModelConfig(**drop_retired(raw, RETIRED_MODEL_KEYS, f"{path}: "))
             model = cls(cfg, rng=np.random.default_rng(0), dtype=dtype)
         except (ValueError, TypeError) as exc:
             raise DataError(f"{path}: bad model config ({exc})") from exc

@@ -308,21 +308,6 @@ def elu(x) -> Tensor:
     return _track(out, (x,), vjp)
 
 
-def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; ``rate`` is the probability of zeroing an element."""
-    x = as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-
-    def vjp(g):
-        return ((x, g * keep),)
-
-    return _track(x.data * keep, (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from .model import DualTsstModel
 from .tensor import backward, cross_entropy, no_grad
 
 ADAM_EPS = 1e-8
+# removed options and the one value every run used (see model.drop_retired)
+RETIRED_TRAIN_KEYS = {"decoupled_weight_decay": False}
 
 
 @dataclass
@@ -39,7 +41,6 @@ class TrainConfig:
     batch_size: int = 32
     cycle_epochs: int = 32           # cosine cycle length (epochs)
     augment_segments: int = 8        # 0 disables augmentation
-    decoupled_weight_decay: bool = False
     dtype: str = "float64"           # "float32" trades gradient-check headroom for speed
     seed: int = 0
 
@@ -90,9 +91,9 @@ class TrainState:
 def adam_step(params: dict, state: TrainState, lr: float, cfg: TrainConfig) -> None:
     """One Adam update over the parameter registry.
 
-    Gradients get the coupled L2 term ``weight_decay * theta`` added (or,
-    with ``decoupled_weight_decay``, the decay is applied directly to the
-    parameters); moments update even when lr == 0.
+    Gradients get the coupled L2 term ``weight_decay * theta`` added before
+    the moments update, so the decay is scaled by Adam's step like the rest
+    of the gradient; moments update even when lr == 0.
     """
     state.step += 1
     t = state.step
@@ -104,7 +105,7 @@ def adam_step(params: dict, state: TrainState, lr: float, cfg: TrainConfig) -> N
             raise DataError(f"parameter {name} has no gradient; run backward first")
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in {name}")
-        if cfg.weight_decay and not cfg.decoupled_weight_decay:
+        if cfg.weight_decay:
             g = g + cfg.weight_decay * p.data
         m = state.m.get(name)
         if m is None:
@@ -115,8 +116,6 @@ def adam_step(params: dict, state: TrainState, lr: float, cfg: TrainConfig) -> N
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * g * g
-        if cfg.weight_decay and cfg.decoupled_weight_decay:
-            p.data = p.data - lr * cfg.weight_decay * p.data
         if lr:
             mhat = m / bc1
             vhat = v / bc2
@@ -217,7 +216,7 @@ def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
                 labels = np.concatenate([labels, a_labels])
 
             model.zero_grad()
-            logits = model.forward(eeg, tfr, train=True, rng=augment_rng)
+            logits = model.forward(eeg, tfr, train=True)
             loss = cross_entropy(logits, labels)
             val = float(loss.data)
             if not math.isfinite(val):

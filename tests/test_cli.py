@@ -208,8 +208,12 @@ def test_stats_non_finite_value_exits_2(tmp_path, capsys):
 def test_stats_undefined_when_identical(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text("0.5\n0.5\n")
-    assert dispatch(["stats", "--a", str(a), "--b", str(a)]) == 0
+    out = tmp_path / "stats"
+    assert dispatch(["stats", "--a", str(a), "--b", str(a), "--out", str(out)]) == 0
     assert "undefined" in capsys.readouterr().out
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved == {"command": "stats", "a": str(a), "b": str(a), "W": None, "p": None,
+                        "n_effective": 0, "method": "undefined"}
 
 
 def test_train_rerun_from_resolved_config_is_bit_identical(tmp_path, mini_data):
@@ -233,6 +237,22 @@ def test_train_geometry_mismatch_exits_2(tmp_path, mini_data, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "32" in err and "64" in err  # offending shapes named
+
+
+@pytest.mark.parametrize("field,value", [
+    ("time_kernel_raw", 0), ("time_kernel_tfr", 0), ("pool_raw", 0), ("pool_tfr", 0),
+    ("pool_raw_stride", -1), ("pool_tfr_stride", -1),
+])
+def test_train_kernel_or_pool_below_minimum_exits_2(tmp_path, mini_data, capsys, field, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {field: value}}))
+    out = tmp_path / "x"
+    assert dispatch(["train", "--data", str(mini_data), "--out", str(out),
+                     "--preset", "mini", "--epochs", "1", "--config", str(cfg),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{field} must be >= " in err
+    assert not out.exists()
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, mini_data, capsys):
@@ -378,3 +398,75 @@ def test_eval_geometry_mismatch_exits_2(tmp_path, mini_data):
     code = dispatch(["eval", "--model", str(out / "model_final.dtss"),
                      "--data", str(other), "--out", str(tmp_path / "e")])
     assert code == 2
+
+
+# the model and train sections of a resolved_config.json written while
+# encoder_mlp_ratio, dropout, per_head_scaling and decoupled_weight_decay
+# existed: every field in declaration order, the retired ones at their value
+OLD_MODEL_ORDER = (
+    "n_channels", "n_times", "n_freqs", "n_classes", "branch_channels", "embed_dim",
+    "time_kernel_raw", "time_kernel_tfr", "pool_raw", "pool_raw_stride", "pool_tfr",
+    "pool_tfr_stride", "encoder_layers", "encoder_heads", "encoder_mlp_ratio",
+    "classifier_hidden", "dropout", "use_branch1", "use_branch2_input1",
+    "use_branch2_input2", "use_transformer", "per_head_scaling",
+)
+OLD_TRAIN_ORDER = (
+    "lr_max", "lr_min", "weight_decay", "beta1", "beta2", "epochs", "batch_size",
+    "cycle_epochs", "augment_segments", "decoupled_weight_decay", "dtype", "seed",
+)
+
+
+def with_retired(resolved):
+    from dualtsst.model import RETIRED_MODEL_KEYS
+    from dualtsst.train import RETIRED_TRAIN_KEYS
+
+    model = {**resolved["model"], **RETIRED_MODEL_KEYS}
+    train = {**resolved["train"], **RETIRED_TRAIN_KEYS}
+    return {**resolved, "model": {k: model[k] for k in OLD_MODEL_ORDER},
+            "train": {k: train[k] for k in OLD_TRAIN_ORDER}}
+
+
+def test_resolved_config_with_retired_keys_replays_bit_identically(tmp_path, mini_data):
+    out1 = tmp_path / "r1"
+    assert dispatch(train_args(mini_data, out1)) == 0
+    resolved = json.loads((out1 / "resolved_config.json").read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(with_retired(resolved), indent=2) + "\n")
+    out2 = tmp_path / "r2"
+    assert dispatch(["train", "--data", str(mini_data), "--out", str(out2),
+                     "--config", str(old), "--quiet"]) == 0
+    assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
+    assert (out1 / "model_final.dtss").read_bytes() == (out2 / "model_final.dtss").read_bytes()
+    assert json.loads((out2 / "resolved_config.json").read_text())["model"] == resolved["model"]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "dropout", 0.3), ("model", "per_head_scaling", True),
+    ("model", "encoder_mlp_ratio", 4), ("train", "decoupled_weight_decay", True),
+])
+def test_retired_key_off_its_value_exits_2(tmp_path, mini_data, capsys, section, key, value):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"preset": "mini", section: {key: value}}))
+    out = tmp_path / "x"
+    assert dispatch(["train", "--data", str(mini_data), "--out", str(out),
+                     "--epochs", "1", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{section}.{key} is retired" in err and str(cfg) in err
+    assert not out.exists()
+
+
+def test_eval_of_a_checkpoint_with_a_retired_key_off_its_value_exits_2(tmp_path, mini_data,
+                                                                        capsys):
+    out = tmp_path / "run"
+    assert dispatch(train_args(mini_data, out)) == 0
+    blob = (out / "model_final.dtss").read_bytes()
+    cfg_len = int.from_bytes(blob[8:12], "little")
+    cfg = json.loads(blob[12 : 12 + cfg_len])
+    new_cfg = json.dumps({**cfg, "dropout": 0.3}).encode()
+    old = tmp_path / "old.dtss"
+    old.write_bytes(blob[:8] + len(new_cfg).to_bytes(4, "little") + new_cfg
+                    + blob[12 + cfg_len :])
+    assert dispatch(["eval", "--model", str(old), "--data", str(mini_data),
+                     "--out", str(tmp_path / "e"), "--preset", "mini"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dropout is retired" in err

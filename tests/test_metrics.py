@@ -54,21 +54,6 @@ def test_kappa_hand_value_balanced_marginals():
     assert abs(expected - 0.7423) < 1e-4  # same ballpark as the reported 0.7413
 
 
-def test_kappa_uniform_chance_flag():
-    cm = np.array([[8, 2], [1, 4]])  # unbalanced so the two chance models differ
-    marginal = metrics.kappa(cm, chance="marginal")
-    uniform = metrics.kappa(cm, chance="uniform")
-    p_o = 12 / 15
-    assert abs(uniform - (p_o - 0.5) / 0.5) < 1e-15
-    assert marginal != uniform
-
-
-def test_kappa_chance_models_coincide_when_balanced():
-    cm = np.array([[8, 2], [1, 9]])  # balanced true classes
-    assert metrics.expected_agreement(cm, "marginal") == 0.5
-    assert metrics.kappa(cm, "marginal") == metrics.kappa(cm, "uniform")
-
-
 def test_kappa_degenerate_single_cell():
     assert metrics.kappa(np.array([[5, 0], [0, 0]])) == 1.0
 

@@ -7,7 +7,9 @@ import pytest
 
 from dualtsst import dataio, tensor as T
 from dualtsst.errors import DataError
-from dualtsst.model import DualTsstModel, ModelConfig, config_from_preset
+from dualtsst import model as model_module
+from dualtsst.model import (ENCODER_MLP_RATIO, RETIRED_MODEL_KEYS, DualTsstModel, ModelConfig,
+                            config_from_preset)
 
 
 def mini_config(**overrides) -> ModelConfig:
@@ -80,13 +82,23 @@ def test_config_validation_errors():
         ModelConfig(n_channels=4, n_times=64, n_freqs=6, n_classes=2,
                     use_branch1=False, use_branch2_input1=False,
                     use_branch2_input2=False).validate()
-    for field in ("encoder_heads", "encoder_mlp_ratio"):
+    for field in ("encoder_layers", "encoder_heads"):
         with pytest.raises(DataError, match=field):
             mini_config(**{field: 0}).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("time_kernel_raw", 0), ("time_kernel_tfr", 0), ("pool_raw", 0), ("pool_tfr", 0),
+    ("time_kernel_raw", -3), ("pool_tfr", -1), ("pool_raw_stride", -1), ("pool_tfr_stride", -2),
+])
+def test_kernels_and_pools_below_their_minimum_are_data_errors(field, value):
+    with pytest.raises(DataError, match=f"^{field} must be >= "):
+        mini_config(**{field: value}).validate()
+
+
 def test_default_pool_strides():
     cfg = ModelConfig(n_channels=22, n_times=1000, n_freqs=40, n_classes=4)
+    cfg.validate()  # a stride of 0 is valid: it means "derive it"
     assert cfg.raw_pool_stride() == 12
     assert cfg.tfr_pool_stride() == 32
 
@@ -136,7 +148,7 @@ def test_transposed_view_2_matches_a_contiguous_copy(rng, time_kernel_tfr, train
     view2 = np.ascontiguousarray(tfr.transpose(0, 2, 1, 3))
     fused = copied.fuse([copied.branch1_forward(eeg[:, None, :, :], train=train),
                          *copied.branch2_forward(tfr, view2, train=train)])
-    want = copied.classify(copied.encoder_forward(fused, train=train))
+    want = copied.classify(copied.encoder_forward(fused))
     pairs = [("logits", got.data, want.data)]
     if train:
         labels = np.array([0, 1, 1])
@@ -303,14 +315,6 @@ def test_encoder_preserves_shape_for_any_length(rng):
         assert out.shape == (2, L, d)
 
 
-def test_per_head_scaling_changes_output(rng):
-    eeg, tfr = mini_inputs(rng)
-    a = mini_model(seed=3).forward(eeg, tfr).data
-    b = DualTsstModel(mini_config(per_head_scaling=True),
-                      rng=np.random.default_rng(3)).forward(eeg, tfr).data
-    assert not np.allclose(a, b)
-
-
 # ---------------------------------------------------------------------------
 # classifier
 # ---------------------------------------------------------------------------
@@ -382,8 +386,8 @@ def closed_form_param_count(cfg: ModelConfig) -> int:
     if cfg.use_transformer:
         d = cfg.embed_dim
         total += cfg.fused_len() * d  # positional encoding
-        per_layer = 4 * lin(d, d) + 2 * d + lin(d, cfg.encoder_mlp_ratio * d) \
-            + lin(cfg.encoder_mlp_ratio * d, d) + 2 * d
+        per_layer = 4 * lin(d, d) + 2 * d + lin(d, ENCODER_MLP_RATIO * d) \
+            + lin(ENCODER_MLP_RATIO * d, d) + 2 * d
         total += cfg.encoder_layers * per_layer
     total += lin(cfg.embed_dim, cfg.classifier_hidden)
     total += lin(cfg.classifier_hidden, cfg.n_classes)
@@ -473,17 +477,6 @@ def test_branch_ablations(rng):
     assert one_view.forward(eeg, tfr).shape == (2, 2)
 
 
-def test_dropout_hook(rng):
-    model = mini_model(dropout=0.3)
-    eeg, tfr = mini_inputs(rng)
-    out1 = model.forward(eeg, tfr, train=True, rng=np.random.default_rng(0))
-    out2 = model.forward(eeg, tfr, train=True, rng=np.random.default_rng(1))
-    assert not np.allclose(out1.data, out2.data)
-    e1 = model.forward(eeg, tfr, train=False)
-    e2 = model.forward(eeg, tfr, train=False)
-    assert np.array_equal(e1.data, e2.data)
-
-
 # ---------------------------------------------------------------------------
 # determinism and checkpointing
 # ---------------------------------------------------------------------------
@@ -552,11 +545,12 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path, rng, dtype):
         assert after[name].tobytes() == arr.tobytes(), name
 
 
-def checkpoint_blob(model, version):
+def checkpoint_blob(model, version, config=None):
     """A checkpoint built from the documented layout: version 1 stores every
     tensor as float32 with no dtype code; version 2 stores each tensor in the
-    model's dtype behind a dtype code (1 float32, 2 float64)."""
-    cfg = json.dumps(dataclasses.asdict(model.config)).encode()
+    model's dtype behind a dtype code (1 float32, 2 float64).  ``config`` is
+    the stored config dict, ``dataclasses.asdict(model.config)`` by default."""
+    cfg = json.dumps(config or dataclasses.asdict(model.config)).encode()
     entries = list(checkpoint_tensors(model).items())
     code, payload = (2, "<f8") if version == 2 and model.dtype == np.float64 else (1, "<f4")
     parts = [b"DTSS", struct.pack("<II", version, len(cfg)), cfg, struct.pack("<I", len(entries))]
@@ -616,3 +610,94 @@ def test_checkpoint_garbled_is_a_data_error(tmp_path, garble):
     path.write_bytes(garble(path.read_bytes()))
     with pytest.raises(DataError):
         DualTsstModel.load(path)
+
+
+# ---------------------------------------------------------------------------
+# files written while the retired options existed
+# ---------------------------------------------------------------------------
+
+# ModelConfig's fields in declaration order before encoder_mlp_ratio, dropout
+# and per_head_scaling were retired; checkpoints and resolved configs of that
+# time store all 22
+FIELDS_WITH_RETIRED = (
+    "n_channels", "n_times", "n_freqs", "n_classes", "branch_channels", "embed_dim",
+    "time_kernel_raw", "time_kernel_tfr", "pool_raw", "pool_raw_stride", "pool_tfr",
+    "pool_tfr_stride", "encoder_layers", "encoder_heads", "encoder_mlp_ratio",
+    "classifier_hidden", "dropout", "use_branch1", "use_branch2_input1",
+    "use_branch2_input2", "use_transformer", "per_head_scaling",
+)
+
+
+def config_with_retired(cfg, **retired):
+    """``cfg`` as a dict in the old field order, the retired keys at their one
+    value unless ``retired`` overrides them."""
+    values = {**dataclasses.asdict(cfg), **RETIRED_MODEL_KEYS, **retired}
+    assert set(values) == set(FIELDS_WITH_RETIRED)
+    return {k: values[k] for k in FIELDS_WITH_RETIRED}
+
+
+def test_retired_table_holds_the_values_every_run_used():
+    assert RETIRED_MODEL_KEYS == {"encoder_mlp_ratio": ENCODER_MLP_RATIO, "dropout": 0.0,
+                                  "per_head_scaling": False}
+    assert not set(RETIRED_MODEL_KEYS) & {f.name for f in dataclasses.fields(ModelConfig)}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_with_retired_keys_at_their_value_loads(tmp_path, rng, version):
+    model = trained_model(np.float64, rng)
+    current, old = tmp_path / "current.dtss", tmp_path / "old.dtss"
+    current.write_bytes(checkpoint_blob(model, version))
+    old.write_bytes(checkpoint_blob(model, version, config_with_retired(model.config)))
+    a, b = DualTsstModel.load(current), DualTsstModel.load(old)
+    assert b.config == model.config
+    ta, tb = checkpoint_tensors(a), checkpoint_tensors(b)
+    assert ta.keys() == tb.keys()
+    for name, arr in ta.items():
+        assert tb[name].dtype == arr.dtype and tb[name].tobytes() == arr.tobytes(), name
+    eeg, tfr = mini_inputs(rng, n=3)
+    with T.no_grad():
+        assert np.array_equal(a.forward(eeg, tfr).data, b.forward(eeg, tfr).data)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dropout", 0.3), ("per_head_scaling", True), ("encoder_mlp_ratio", 4),
+    ("dropout", False), ("per_head_scaling", 0), ("encoder_mlp_ratio", "2"),
+])
+def test_checkpoint_with_a_retired_key_off_its_value_is_a_data_error(tmp_path, rng,
+                                                                     key, value):
+    model = mini_model(seed=2)
+    path = tmp_path / "old.dtss"
+    path.write_bytes(checkpoint_blob(model, 2, config_with_retired(model.config,
+                                                                   **{key: value})))
+    with pytest.raises(DataError, match=f"{path}: {key} is retired"):
+        DualTsstModel.load(path)
+
+
+def test_checkpoint_config_that_is_not_an_object_is_a_data_error(tmp_path):
+    path = tmp_path / "list.dtss"
+    cfg = b'"dropout"'
+    path.write_bytes(b"DTSS" + struct.pack("<II", 2, len(cfg)) + cfg + struct.pack("<I", 0))
+    with pytest.raises(DataError, match="not a JSON object"):
+        DualTsstModel.load(path)
+
+
+def test_failed_save_leaves_the_previous_checkpoint_intact(tmp_path, rng, monkeypatch):
+    path = tmp_path / "model_best.dtss"
+    mini_model(seed=2).save(path)
+    before = path.read_bytes()
+
+    calls = []
+    real = model_module.pack_record
+
+    def failing_pack_record(arr, dtype):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(arr, dtype)
+
+    monkeypatch.setattr(model_module, "pack_record", failing_pack_record)
+    with pytest.raises(OSError, match="disk full"):
+        trained_model(np.float64, rng).save(path)
+    assert len(calls) == 3
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model_best.dtss"]

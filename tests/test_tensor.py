@@ -506,7 +506,7 @@ def test_gap_empty_errors():
 
 
 # ---------------------------------------------------------------------------
-# matmul / concat / transpose / dropout
+# matmul / concat / transpose
 # ---------------------------------------------------------------------------
 
 
@@ -525,20 +525,6 @@ def test_concat_and_transpose_gradients(rng):
         return (T.transpose(cat, (1, 0)) * w).sum()
 
     fd_check(build, [a, b])
-
-
-def test_dropout_train_shape_and_grad(rng):
-    x = leaf(rng, 50, 4)
-
-    def build():
-        # fresh rng per call freezes the mask, so FD sees a fixed function
-        out = T.dropout(x, 0.5, np.random.default_rng(7))
-        return (out * 1.0).sum()
-
-    fd_check(build, [x])
-    dropped = T.dropout(x, 0.5, np.random.default_rng(7))
-    assert dropped.shape == x.shape
-    assert np.any(dropped.data == 0.0)
 
 
 # ---------------------------------------------------------------------------

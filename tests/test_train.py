@@ -132,16 +132,6 @@ def test_adam_weight_decay_shrinks_parameters():
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
-def test_adam_decoupled_weight_decay():
-    cfg = train.TrainConfig(weight_decay=0.5, decoupled_weight_decay=True)
-    params, p = one_param(2.0)
-    p.grad = np.zeros(1)
-    state = train.TrainState()
-    train.adam_step(params, state, 1e-2, cfg)
-    # decay applied directly: theta *= (1 - lr*wd); zero gradient moves nothing else
-    assert abs(p.data[0] - 2.0 * (1 - 1e-2 * 0.5)) < 1e-15
-
-
 def test_adam_rejects_nan_gradient():
     cfg = train.TrainConfig()
     params, p = one_param(1.0)
