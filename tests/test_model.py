@@ -663,8 +663,7 @@ def test_checkpoint_with_retired_keys_at_their_value_loads(tmp_path, rng, versio
     ("dropout", 0.3), ("per_head_scaling", True), ("encoder_mlp_ratio", 4),
     ("dropout", False), ("per_head_scaling", 0), ("encoder_mlp_ratio", "2"),
 ])
-def test_checkpoint_with_a_retired_key_off_its_value_is_a_data_error(tmp_path, rng,
-                                                                     key, value):
+def test_checkpoint_with_a_retired_key_off_its_value_is_a_data_error(tmp_path, key, value):
     model = mini_model(seed=2)
     path = tmp_path / "old.dtss"
     path.write_bytes(checkpoint_blob(model, 2, config_with_retired(model.config,
