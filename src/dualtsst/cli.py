@@ -40,9 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_resolved(out_dir, payload: dict) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(json.dumps(payload, indent=2) + "\n")
+    with dataio.atomic_open(Path(out_dir) / "resolved_config.json") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _environment() -> dict:

@@ -22,9 +22,11 @@ preprocess; changing either invalidates the cache.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,6 +99,24 @@ class ByteCursor:
     def finish(self) -> None:
         if self.off != len(self.blob):
             raise DataError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open ``<path>.tmp`` in the same directory for writing and rename it
+    over ``path`` when the block ends.  On any error the temporary file is
+    removed and ``path`` keeps what it held before.  No fsync: this guards
+    against a failing or killed process, not against power loss."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_array(path, arr) -> None:
@@ -274,9 +294,8 @@ def _require(ok: bool, field: str, value, expected: str) -> None:
 def save_manifest(dataset_dir, manifest: DatasetManifest) -> None:
     manifest.validate()
     payload = dataclasses.asdict(manifest)
-    path = Path(dataset_dir) / "manifest.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    with atomic_open(Path(dataset_dir) / "manifest.json") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def load_manifest(dataset_dir) -> DatasetManifest:
@@ -444,7 +463,15 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
         if unchanged and out_path.exists() and not force:
             continue
         x = _read_trial(dataset_dir, entry.file, manifest.fs, preprocess)
-        write_array(out_path, signal.morlet_power(x, plan))
+        power = signal.morlet_power(x, plan)
+        if manifest.tfr is not None:
+            # sidecars are rewritten in place, so from the first write on the
+            # manifest vouches for none of them until the last one is written:
+            # an interrupted run leaves a dataset that asks for a transform,
+            # never a truncated or mixed cache
+            manifest.tfr = None
+            save_manifest(dataset_dir, manifest)
+        write_array(out_path, power)
         written += 1
     manifest.tfr = settings
     manifest.preprocess = preprocess

@@ -26,7 +26,9 @@ graph path's below ``kernels.FFT_MIN_TAPS`` taps (the ``mini`` preset)
 and agree to about 1e-15 relative above.
 
 Attention scores are scaled by 1/sqrt(embed_dim), the full embedding
-width, not the per-head width.  The encoder MLP widens to
+width, not the per-head width.  The scale is applied to the queries
+before the score product, so no unscaled ``[N, heads, L, L]`` copy of the
+scores is kept for backward.  The encoder MLP widens to
 ``ENCODER_MLP_RATIO`` times the embedding, and training mode zeroes no
 activations: the forward pass draws no random numbers.
 """
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .dataio import ByteCursor, pack_record
+from .dataio import ByteCursor, atomic_open, pack_record
 from .errors import DataError
 from .tensor import Tensor
 
@@ -395,7 +396,7 @@ class DualTsstModel:
             return T.transpose(t, (0, 2, 1, 3))  # [N, h, L, hd]
 
         q, k, v = split(q), split(k), split(v)
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
+        scores = T.matmul(q * (1.0 / np.sqrt(d)), T.transpose(k, (0, 1, 3, 2)))
         attn = T.softmax(scores, axis=-1)
         if attention_maps is not None:
             attention_maps.append(attn.data)
@@ -465,24 +466,16 @@ class DualTsstModel:
         code = next((c for c, dt in _PAYLOAD_DTYPES.items() if dt == self.dtype), None)
         if code is None:
             raise ValueError(f"cannot checkpoint a {self.dtype} model")
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         cfg = json.dumps(dataclasses.asdict(self.config)).encode()
         entries = [(n, p.data) for n, p in self.params.items()]
         entries += [(n, b) for n, b in self.buffers.items()]
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg)) + cfg)
-                fh.write(struct.pack("<I", len(entries)))
-                for name, arr in entries:
-                    nb = name.encode()
-                    fh.write(struct.pack("<I", len(nb)) + nb + struct.pack("<B", code))
-                    fh.write(pack_record(arr, _PAYLOAD_DTYPES[code]))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with atomic_open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg)) + cfg)
+            fh.write(struct.pack("<I", len(entries)))
+            for name, arr in entries:
+                nb = name.encode()
+                fh.write(struct.pack("<I", len(nb)) + nb + struct.pack("<B", code))
+                fh.write(pack_record(arr, _PAYLOAD_DTYPES[code]))
 
     @classmethod
     def load(cls, path, dtype=np.float64) -> "DualTsstModel":

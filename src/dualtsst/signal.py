@@ -7,11 +7,20 @@ frequency.  The wavelet width follows the half-frequency cycle rule
 
     sigma_t = n_cycles / (2 * pi * freq) = 1 / (4 * pi) seconds
 
-for every frequency.  Taps are sampled on [-5 sigma_t, +5 sigma_t] at the
-signal's sampling interval and L2-normalised; the Gaussian envelope is
+for every frequency, so every frequency shares one support of k taps.
+Taps are sampled on [-5 sigma_t, +5 sigma_t] at the signal's sampling
+interval and L2-normalised; the Gaussian envelope is
 exp(-t^2 / (2 sigma_t^2)), the standard temporal-std convention.  Signals
 are reflect-padded by half the support so the output keeps the input's
 length, and power |W|^2 is returned.
+
+The convolution runs as a circular FFT product of the padded signal
+(n_t + k - 1 samples) with the taps.  Only the n_t outputs k-1 .. n_t+k-2
+are kept, and each of them reads k padded samples that lie wholly inside
+the padded signal, so none of them wraps: a circular length of
+n_t + k - 1 suffices.  It is rounded up to the next 2^a 3^b 5^c length
+(``fft_length``), since numpy's FFT falls back to a slow Bluestein
+transform at lengths with a large prime factor.
 """
 
 from __future__ import annotations
@@ -29,13 +38,14 @@ ZSCORE_GUARD = 1e-12
 
 @dataclass
 class MorletPlan:
-    """Per-frequency complex Morlet taps for a fixed sampling rate."""
+    """Complex Morlet taps ``[F, k]`` for a fixed sampling rate, one row per
+    frequency, all on one support of k taps."""
 
     freqs: np.ndarray
     fs: float
     n_cycles: np.ndarray = field(init=False)
     sigma_t: np.ndarray = field(init=False)
-    taps: list = field(init=False)
+    taps: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=np.float64)
@@ -53,11 +63,14 @@ class MorletPlan:
                             f"got {', '.join(f'{f:g}' for f in aliased)} Hz")
         self.n_cycles = self.freqs / 2.0
         self.sigma_t = self.n_cycles / (2.0 * np.pi * self.freqs)
-        self.taps = [self._make_taps(f, s) for f, s in zip(self.freqs, self.sigma_t)]
-
-    def _make_taps(self, freq: float, sigma_t: float) -> np.ndarray:
-        half = int(math.floor(5.0 * sigma_t * self.fs))
+        # the support is +-5 sigma_t with the rule's sigma_t = 1/(4 pi); the
+        # per-frequency sigma_t above differ from it only in the last ulp
+        half = int(math.floor(5.0 * self.fs / (4.0 * math.pi)))
         t = np.arange(-half, half + 1) / self.fs
+        self.taps = np.stack([self._make_taps(f, s, t) for f, s in zip(self.freqs, self.sigma_t)])
+
+    @staticmethod
+    def _make_taps(freq: float, sigma_t: float, t: np.ndarray) -> np.ndarray:
         w = np.exp(-(t ** 2) / (2.0 * sigma_t ** 2)) * np.exp(2j * np.pi * freq * t)
         return w / np.sqrt(np.sum(np.abs(w) ** 2))
 
@@ -65,8 +78,9 @@ class MorletPlan:
     def n_freqs(self) -> int:
         return self.freqs.size
 
-    def max_support(self) -> int:
-        return max(len(t) for t in self.taps)
+    @property
+    def support(self) -> int:
+        return self.taps.shape[1]
 
 
 def make_morlet_plan(freqs, fs: float) -> MorletPlan:
@@ -113,44 +127,43 @@ def epoch_array(x: np.ndarray, fs: float, t_start: float, t_end: float) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
+def fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c that is >= n (n >= 1)."""
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
 
 
 def morlet_power(x: np.ndarray, plan: MorletPlan) -> np.ndarray:
     """Morlet power of [ch, T] -> [ch, F, T].
 
-    Each channel is reflect-padded by half the wavelet support, convolved
-    with the complex taps (via FFT), and squared.
+    Each channel is reflect-padded by half the wavelet support k, so it
+    has T + k - 1 samples, and convolved with each frequency's complex taps
+    by a circular FFT of ``fft_length(T + k - 1)`` points.  The T outputs
+    kept (k-1 .. T+k-2) never wrap, since each reads only padded samples.
+    The result is squared.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"morlet_power expects [ch, T], got shape {x.shape}")
     ch, n_t = x.shape
-    if plan.max_support() > 10 * n_t:
-        raise DataError(
-            f"wavelet support {plan.max_support()} is absurd for {n_t} samples"
-        )
+    k = plan.support
+    half = (k - 1) // 2
+    if half > n_t - 1:
+        raise DataError(f"wavelet support {k} cannot be reflect-padded onto {n_t} samples")
+    xp = np.pad(x, ((0, 0), (half, half)), mode="reflect")
+    n = fft_length(xp.shape[-1])
+    spec = np.fft.fft(xp, n, axis=-1)
+    wspec = np.fft.fft(plan.taps, n, axis=-1)
     out = np.empty((ch, plan.n_freqs, n_t), dtype=np.float64)
-
-    # group frequencies by tap length so each group shares one padded FFT
-    by_len: dict[int, list[int]] = {}
-    for i, taps in enumerate(plan.taps):
-        by_len.setdefault(len(taps), []).append(i)
-
-    for k, idxs in by_len.items():
-        half = (k - 1) // 2
-        if half > n_t - 1:
-            raise DataError(
-                f"wavelet support {k} cannot be reflect-padded onto {n_t} samples"
-            )
-        xp = np.pad(x, ((0, 0), (half, half)), mode="reflect")
-        nfft = _next_pow2(xp.shape[-1] + k - 1)
-        spec = np.fft.fft(xp, nfft, axis=-1)
-        for i in idxs:
-            wspec = np.fft.fft(plan.taps[i], nfft)
-            conv = np.fft.ifft(spec * wspec, axis=-1)[:, k - 1 : k - 1 + n_t]
-            out[:, i, :] = conv.real ** 2 + conv.imag ** 2
+    for i in range(plan.n_freqs):
+        conv = np.fft.ifft(spec * wspec[i], axis=-1)[:, k - 1 : k - 1 + n_t]
+        out[:, i, :] = conv.real ** 2 + conv.imag ** 2
     return out
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment as aug
-from .dataio import TrialSet
+from .dataio import TrialSet, atomic_open
 from .errors import DataError, NumericalError
 from .model import DualTsstModel
 from .tensor import backward, cross_entropy, no_grad
@@ -253,4 +253,5 @@ def write_log_csv(path, logs) -> None:
     for e in logs:
         test = "" if e.test_acc is None else repr(e.test_acc)
         lines.append(f"{e.epoch},{e.lr!r},{e.loss!r},{e.train_acc!r},{test}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtsst import dataio, signal
+from dualtsst import cli, dataio, signal, train
 from dualtsst.errors import DataError
 from dualtsst.model import DualTsstModel, config_from_preset
 
@@ -70,6 +70,114 @@ def test_array_bad_version(tmp_path):
     path.write_bytes(b"EEGT" + struct.pack("<IB", 9, 1) + struct.pack("<I", 1) + bytes(4))
     with pytest.raises(DataError, match="version"):
         dataio.read_array(path)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+
+def _save_manifest(tmp_path, version):
+    if version == 0:
+        make_dataset(tmp_path, with_tfr=False)
+    else:
+        manifest = dataio.load_manifest(tmp_path)
+        manifest.name = "renamed"
+        dataio.save_manifest(tmp_path, manifest)
+    return tmp_path / "manifest.json"
+
+
+def _write_log_csv(tmp_path, version):
+    logs = [train.EpochLog(epoch=e, lr=1e-3, loss=1.0 / (e + 1), train_acc=0.5, test_acc=None)
+            for e in range(version + 2)]
+    train.write_log_csv(tmp_path / "log.csv", logs)
+    return tmp_path / "log.csv"
+
+
+def _write_resolved(tmp_path, version):
+    cli._write_resolved(tmp_path, {"seed": version, "model": {"embed_dim": 8}})
+    return tmp_path / "resolved_config.json"
+
+
+def _save_model(tmp_path, version):
+    model = DualTsstModel(config_from_preset(dataio.preset("mini")),
+                          rng=np.random.default_rng(version))
+    model.save(tmp_path / "model_best.dtss")
+    return tmp_path / "model_best.dtss"
+
+
+class DiskFullAfter10Bytes:
+    """A file object that writes 10 bytes, then raises as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.left = fh, 10
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > self.left:
+            self.fh.write(data[: self.left])
+            raise OSError("disk full")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("write", [_save_manifest, _write_log_csv, _write_resolved, _save_model])
+def test_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch, write):
+    target = write(tmp_path, 0)
+    before = target.read_bytes()
+    names = sorted(p.name for p in target.parent.iterdir())
+    monkeypatch.setattr(dataio, "open", lambda *a, **kw: DiskFullAfter10Bytes(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path, 1)
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in target.parent.iterdir()) == names
+
+    monkeypatch.delattr(dataio, "open")
+    write(tmp_path, 1)
+    assert target.read_bytes() != before
+    assert sorted(p.name for p in target.parent.iterdir()) == names
+
+
+def test_transform_that_fails_before_writing_changes_no_file(tmp_path):
+    make_dataset(tmp_path)
+    before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+    with pytest.raises(DataError, match="needs"):
+        dataio.transform_dataset(tmp_path, [4.0, 8.0], window=(0.0, 2.0))  # trials last 0.5 s
+    assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
+
+
+def test_interrupted_transform_leaves_a_dataset_that_asks_for_a_transform(tmp_path,
+                                                                          monkeypatch):
+    # the third sidecar of a forced re-run is cut off after 10 bytes
+    make_dataset(tmp_path)
+    freqs = dataio.load_manifest(tmp_path).tfr["freqs"]
+    sidecars = []
+
+    def cut_third_sidecar(path, *args, **kw):
+        fh = open(path, *args, **kw)
+        if str(path).endswith(dataio.TFR_SUFFIX):
+            sidecars.append(path)
+            if len(sidecars) == 3:
+                return DiskFullAfter10Bytes(fh)
+        return fh
+
+    monkeypatch.setattr(dataio, "open", cut_third_sidecar, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        dataio.transform_dataset(tmp_path, freqs, force=True)
+    monkeypatch.delattr(dataio, "open")
+    assert sidecars[2].stat().st_size == 10
+    assert dataio.load_manifest(tmp_path).tfr is None
+    with pytest.raises(DataError, match="transform"):
+        dataio.load_trialset(tmp_path, require_tfr=True)
+
+    assert dataio.transform_dataset(tmp_path, freqs) == 8  # nothing is taken from the cache
+    assert dataio.load_trialset(tmp_path, require_tfr=True).tfr.shape == (8, 4, 6, 64)
 
 
 # ---------------------------------------------------------------------------

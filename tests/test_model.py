@@ -137,6 +137,44 @@ def test_each_branch_holds_one_time_conv_sized_tensor(rng):
     assert {s: shapes.count(s) for s in expected} == expected
 
 
+def test_each_encoder_layer_holds_two_attention_sized_tensors(rng):
+    # the queries are scaled before the score product, so the graph keeps the
+    # scores and their softmax, not also an unscaled copy of the scores
+    model = mini_model()
+    cfg = model.config
+    n, L = 3, cfg.fused_len()
+    eeg, tfr = mini_inputs(rng, n=n)
+    loss = T.cross_entropy(model.forward(eeg, tfr, train=True), np.arange(n) % cfg.n_classes)
+    attention_sized = (n, cfg.encoder_heads, L, L)
+    assert cfg.embed_dim // cfg.encoder_heads != L  # no other graph node has this shape
+    shapes = [t.shape for t in _graph(loss)]
+    assert shapes.count(attention_sized) == 2 * cfg.encoder_layers
+
+
+def test_attention_maps_are_the_softmax_of_the_scaled_scores(rng, monkeypatch):
+    model = mini_model()
+    cfg = model.config
+    d, heads = cfg.embed_dim, cfg.encoder_heads
+    layer_inputs = []
+    mha = model._mha
+    monkeypatch.setattr(model, "_mha", lambda prefix, x, maps=None: (
+        layer_inputs.append(x.data), mha(prefix, x, maps))[1])
+    x = T.Tensor(rng.normal(size=(2, cfg.fused_len(), d)))
+    maps = []
+    model.encoder_forward(x, attention_maps=maps)
+    assert len(maps) == len(layer_inputs) == cfg.encoder_layers
+    for i, (h, got) in enumerate(zip(layer_inputs, maps)):
+        def heads_of(name):
+            p = model.params
+            t = h @ p[f"encoder.{i}.{name}.weight"].data + p[f"encoder.{i}.{name}.bias"].data
+            return t.reshape(*h.shape[:2], heads, d // heads).transpose(0, 2, 1, 3)
+        scores = heads_of("q") @ heads_of("k").transpose(0, 1, 3, 2) / np.sqrt(d)
+        want = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        want /= want.sum(axis=-1, keepdims=True)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, f"layer {i}: max relative error {err:.3e}"
+
+
 @pytest.mark.parametrize("time_kernel_tfr", [9, 17])  # direct summation and rFFT
 @pytest.mark.parametrize("train", [False, True])
 def test_transposed_view_2_matches_a_contiguous_copy(rng, time_kernel_tfr, train):

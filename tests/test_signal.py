@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dualtsst import signal
+from dualtsst import dataio, signal
 from dualtsst.errors import DataError
 
 
@@ -115,16 +117,18 @@ def test_morlet_zero_signal_is_zero():
     np.testing.assert_array_equal(out, 0.0)
 
 
-def morlet_quadrature(x_1ch, taps, n_t):
+def morlet_quadrature(x, taps, n_t):
     """Direct per-sample evaluation of the transform as a correlation with
-    the conjugate wavelet; independent of the FFT implementation."""
-    k = len(taps)
+    the conjugate wavelet; independent of the FFT implementation.
+    ``x`` is [ch, T] and ``taps`` [F, k]; returns the complex [ch, F, n_t]."""
+    k = taps.shape[-1]
     half = (k - 1) // 2
-    xp = np.pad(x_1ch, (half, half), mode="reflect")
-    out = np.empty(n_t, dtype=np.complex128)
-    cw = np.conj(taps)
-    for t in range(n_t):
-        out[t] = np.dot(xp[t : t + k], cw)
+    xp = np.pad(x, ((0, 0), (half, half)), mode="reflect")
+    out = np.empty((x.shape[0], taps.shape[0], n_t), dtype=np.complex128)
+    cw = np.conj(taps).T
+    for t in range(n_t):  # real and imaginary parts apart: x is real
+        out[:, :, t].real = xp[:, t : t + k] @ cw.real
+        out[:, :, t].imag = xp[:, t : t + k] @ cw.imag
     return out
 
 
@@ -135,8 +139,71 @@ def test_morlet_matches_quadrature_oracle():
     x = sine(10.0, fs, n_t, phase=0.3)[None, :]
     power = signal.morlet_power(x, plan)
     bin10 = int(np.argmin(np.abs(freqs - 10.0)))
-    oracle = np.abs(morlet_quadrature(x[0], plan.taps[bin10], n_t)) ** 2
+    oracle = np.abs(morlet_quadrature(x, plan.taps[bin10 : bin10 + 1], n_t)[0, 0]) ** 2
     np.testing.assert_allclose(power[0, bin10], oracle, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["mini", "bci2a", "seed"])
+def test_morlet_matches_quadrature_oracle_at_preset_geometry(rng, name):
+    # every frequency and channel, on noise: <= 1e-9 relative plus 1e-12 of
+    # the channel's peak power
+    p = dataio.preset(name)
+    plan = signal.make_morlet_plan(p.freqs(), p.fs)
+    x = rng.normal(size=(p.n_channels, p.n_times))
+    power = signal.morlet_power(x, plan)
+    oracle = np.abs(morlet_quadrature(x, plan.taps, p.n_times)) ** 2
+    assert power.shape == oracle.shape == (p.n_channels, plan.n_freqs, p.n_times)
+    peak = oracle.max(axis=(1, 2), keepdims=True)
+    excess = np.abs(power - oracle) - (1e-9 * oracle + 1e-12 * peak)
+    assert np.all(excess <= 0.0), f"worst excess {excess.max():.3e}"
+
+
+def _pre_stacking_taps(freqs, fs):
+    """The taps as they were built one frequency at a time, each with the
+    support of its own sigma_t."""
+    taps = []
+    for f in freqs:
+        sigma_t = (f / 2.0) / (2.0 * np.pi * f)
+        half = int(math.floor(5.0 * sigma_t * fs))
+        t = np.arange(-half, half + 1) / fs
+        w = np.exp(-(t ** 2) / (2.0 * sigma_t ** 2)) * np.exp(2j * np.pi * f * t)
+        taps.append(w / np.sqrt(np.sum(np.abs(w) ** 2)))
+    return taps
+
+
+@pytest.mark.parametrize("name", ["mini", "bci2a", "bci2b", "seed"])
+def test_plan_taps_are_one_array_equal_to_per_frequency_taps(name):
+    p = dataio.preset(name)
+    plan = signal.make_morlet_plan(p.freqs(), p.fs)
+    want = _pre_stacking_taps(plan.freqs, p.fs)
+    assert plan.taps.shape == (plan.n_freqs, len(want[0])) and plan.support == len(want[0])
+    for got, w in zip(plan.taps, want):
+        np.testing.assert_array_equal(got, w)
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    limit = 5000
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(14) for b in range(9) for c in range(7)
+                    if 2 ** a * 3 ** b * 5 ** c <= 2 * limit)
+    want = np.array(smooth)[np.searchsorted(smooth, np.arange(1, limit + 1))]
+    got = np.array([signal.fft_length(n) for n in range(1, limit + 1)])
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, circular", [("mini", 180), ("bci2a", 1200), ("seed", 360)])
+def test_morlet_inverse_transforms_at_the_circular_length(monkeypatch, rng, name, circular):
+    # the padded trial has n_t + k - 1 samples; the transform runs at the next
+    # 5-smooth length, not at a power of two or the linear-convolution length
+    p = dataio.preset(name)
+    plan = signal.make_morlet_plan(p.freqs(), p.fs)
+    assert signal.fft_length(p.n_times + plan.support - 1) == circular
+    lengths = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kw: (
+        lengths.append(np.shape(a)[-1]), ifft(a, *args, **kw))[1])
+    signal.morlet_power(rng.normal(size=(p.n_channels, p.n_times)), plan)
+    assert lengths == [circular] * plan.n_freqs
 
 
 def test_morlet_peak_at_signal_frequency():
@@ -183,6 +250,13 @@ def test_morlet_support_guard():
     # support ~ 2*floor(5*sigma_t*fs)+1 ~ 3979 samples > 10 * 16
     with pytest.raises(DataError):
         signal.morlet_power(np.zeros((1, 16)), plan)
+
+
+def test_morlet_support_guard_names_support_and_length():
+    plan = signal.make_morlet_plan([4.0], 5000.0)
+    with pytest.raises(DataError) as err:
+        signal.morlet_power(np.zeros((1, 16)), plan)
+    assert str(err.value) == "wavelet support 3979 cannot be reflect-padded onto 16 samples"
 
 
 # ---------------------------------------------------------------------------
