@@ -485,8 +485,10 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
 
     EEG is preprocessed with the band/window recorded in the manifest and
     Z-scored per (trial, channel); TFR sidecars are Z-scored per
-    (trial, channel, frequency).  A caller that has already parsed the
-    directory's manifest passes it as ``manifest``.
+    (trial, channel, frequency).  Each trial is normalised as it is read,
+    straight into its row of one array per view, so no list of trials or
+    second copy of the set is ever held.  A caller that has already parsed
+    the directory's manifest passes it as ``manifest``.
     """
     dataset_dir = Path(dataset_dir)
     if manifest is None:
@@ -495,37 +497,31 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
         raise DataError(
             f"{dataset_dir}: no TFR sidecars; run the 'transform' command first"
         )
-    eeg, tfrs = [], []
-    shape0 = None
-    for entry in manifest.trials:
+    n_freqs = None if manifest.tfr is None else len(manifest.tfr["freqs"])
+    eeg = tfr = None
+    for i, entry in enumerate(manifest.trials):
         x = _read_trial(dataset_dir, entry.file, manifest.fs, manifest.preprocess)
-        if shape0 is None:
-            shape0 = x.shape
-        elif x.shape != shape0:
-            raise DataError(f"{entry.file}: shape {x.shape} != {shape0} of first trial")
-        eeg.append(x)
-        if manifest.tfr is not None:
+        if i == 0:
+            eeg = np.empty((len(manifest.trials), *x.shape))
+            tfr = None if n_freqs is None else np.empty((len(eeg), x.shape[0], n_freqs, x.shape[1]))
+        elif x.shape != eeg.shape[1:]:
+            raise DataError(f"{entry.file}: shape {x.shape} != {eeg.shape[1:]} of first trial")
+        eeg[i] = signal.zscore(x) if normalize else x
+        if tfr is not None:
             tfr_path = _tfr_path(dataset_dir, entry.file)
             if not tfr_path.exists():
                 raise DataError(f"missing TFR sidecar {tfr_path}")
-            t = read_array(tfr_path).astype(np.float64)
+            t = read_array(tfr_path)
             if t.ndim != 3 or t.shape[0] != x.shape[0] or t.shape[2] != x.shape[1]:
                 raise DataError(
                     f"{tfr_path.name}: sidecar shape {t.shape} inconsistent with trial {x.shape}"
                 )
-            if t.shape[1] != len(manifest.tfr["freqs"]):
+            if t.shape[1] != n_freqs:
                 raise DataError(
                     f"{tfr_path.name}: sidecar has {t.shape[1]} frequencies, the manifest's "
-                    f"tfr.freqs lists {len(manifest.tfr['freqs'])}"
+                    f"tfr.freqs lists {n_freqs}"
                 )
-            tfrs.append(t)
-
-    eeg = np.stack(eeg)
-    tfr = np.stack(tfrs) if tfrs else None
-    if normalize:
-        eeg = signal.zscore(eeg, axes=(-1,))
-        if tfr is not None:
-            tfr = signal.zscore(tfr, axes=(-1,))
+            tfr[i] = signal.zscore(t) if normalize else t
 
     labels = np.array([t.label for t in manifest.trials], dtype=np.int64)
     return TrialSet(
@@ -541,12 +537,20 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
 
 
 def load_dataset(dataset_dir, plan: SplitPlan, require_tfr: bool = False):
-    """Load a dataset directory and split it into (train, test) TrialSets."""
+    """Load a dataset directory split into (train, test) TrialSets.  The split
+    is taken on the manifest and each split read on its own: the whole set
+    is never held."""
     manifest = load_manifest(dataset_dir)
-    full = load_trialset(dataset_dir, require_tfr=require_tfr, manifest=manifest)
     tags = [t.split for t in manifest.trials]
-    train_idx, test_idx = split_indices(len(full), plan, tags=tags)
-    return full.subset(train_idx), full.subset(test_idx)
+    train_idx, test_idx = split_indices(len(manifest.trials), plan, tags=tags)
+    train, test = (load_trialset(dataset_dir, require_tfr=require_tfr,
+                                 manifest=dataclasses.replace(
+                                     manifest, trials=[manifest.trials[i] for i in idx]))
+                   for idx in (train_idx, test_idx))
+    if test.eeg.shape[1:] != train.eeg.shape[1:]:
+        raise DataError(f"{manifest.trials[test_idx[0]].file}: shape {test.eeg.shape[1:]} != "
+                        f"{train.eeg.shape[1:]} of the training trials")
+    return train, test
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ nothing is padded.
 The products are one batched complex ``matmul`` over frequencies, and each
 function transforms one trial at a time, so the spectra of a whole batch
 are never held at once.  The trials of a batch run ``TRIALS_IN_FLIGHT``
-(2) at a time, on the calling thread and a pool thread (numpy's FFTs,
-copies and BLAS calls release the GIL); each
-trial writes its own slice of the output and the kernel gradient sums the
-per-trial products in trial order, so the result is bit-identical to a
-serial loop.  Direct summation makes one pass over the data per tap; at the
-paper's bci2a geometry the spectral path cut the three time convolutions'
-forward plus backward from about 7.3 s to 0.26 s per trial (2 vCPU,
-float64).
+(2) at a time, on the calling thread and a helper thread that is started
+for the pair and joined before the call returns (numpy's FFTs, copies and
+BLAS calls release the GIL); no thread outlives a call.  Each trial writes
+its own slice of the output and the kernel gradient sums the per-trial
+products in trial order, so the result is bit-identical to a serial loop.
+Direct summation makes one pass over the data per tap; at the paper's
+bci2a geometry the spectral path cut the three time convolutions' forward
+plus backward from about 7.3 s to 0.26 s per trial (2 vCPU, float64).
 
 Below ``FFT_MIN_TAPS`` taps (the ``mini`` preset's 7 and 9, and the 1-tap
 pointwise convs) they loop over the taps with one einsum each, and never
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import os
 import threading
 
 import numpy as np
@@ -99,55 +98,47 @@ def _signal(spec, n):
 
 
 # Trials of one batch transformed at a time: the calling thread and
-# ``TRIALS_IN_FLIGHT - 1`` pool threads.  Fixed rather than one per CPU
-# because every trial in flight holds its spectra (about 30-40 MB for the
-# bci2a 125-tap conv), and 2 is the only value whose speed and peak memory
-# have been measured.
+# ``TRIALS_IN_FLIGHT - 1`` trials on one helper thread.  Fixed rather than
+# one per CPU because every trial in flight holds its spectra (about
+# 30-40 MB for the bci2a 125-tap conv), and 2 is the only value whose speed
+# and peak memory have been measured.
 TRIALS_IN_FLIGHT = 2
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    # a forked child inherits the pool object but none of its threads, and
-    # the lock possibly held by a thread that no longer exists
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _submit(fn, *args):
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: concurrent.futures pulls in logging, about 10 ms of import
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=TRIALS_IN_FLIGHT - 1,
-                                       thread_name_prefix="dualtsst")
-    return _pool.submit(fn, *args)
 
 
 def _per_trial(fn, n):
     """Yield ``fn(b)`` for every trial ``b < n``, in trial order.
 
-    ``TRIALS_IN_FLIGHT`` trials run at a time, one on the calling thread and
-    the others on pool threads (numpy's FFTs, copies and BLAS calls release
-    the GIL), so at most that many results are held at once.  The calling
-    thread works rather than waits because memory freed on a pool thread
-    stays in that thread's malloc arena: a pool doing every trial left bci2a
-    steps about 100 MiB larger.
+    Trials run in groups of ``TRIALS_IN_FLIGHT``: ``first`` on the calling
+    thread, the others of its group on one short-lived helper thread
+    (numpy's FFTs, copies and BLAS calls release the GIL), so at most that
+    many results are held at once.  The helper is joined before its results
+    are yielded, so no thread outlives its group, and an exception it
+    raised is raised again on the calling thread.  The calling thread works
+    rather than waits because memory freed on another thread stays in that
+    thread's malloc arena: a pool thread doing every trial left bci2a steps
+    about 100 MiB larger.
     """
     for first in range(0, n, TRIALS_IN_FLIGHT):
-        rest = [_submit(fn, b) for b in range(first + 1, min(first + TRIALS_IN_FLIGHT, n))]
-        yield fn(first)
-        for future in rest:
-            yield future.result()
+        rest = range(first + 1, min(first + TRIALS_IN_FLIGHT, n))
+        done, failed = [], []
+
+        def run_rest():
+            try:
+                done.extend(map(fn, rest))
+            except BaseException as exc:
+                failed.append(exc)
+
+        helper = threading.Thread(target=run_rest, name="dualtsst-trial")
+        if rest:
+            helper.start()
+        try:
+            yield fn(first)
+        finally:
+            if rest:
+                helper.join()
+        if failed:
+            raise failed[0]
+        yield from done
 
 
 def _fft_apply(wf, a, out, n, depthwise=None):

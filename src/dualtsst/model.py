@@ -414,20 +414,25 @@ class DualTsstModel:
     def _encode(self, eeg, tfr, train: bool) -> Tensor:
         """Fused (and, unless ablated, encoded) feature sequence [N, L, D]."""
         c = self.config
-        outs = []
+        use_tfr = c.use_branch2_input1 or c.use_branch2_input2
         if c.use_branch1:
             if eeg is None:
                 raise DataError("branch 1 enabled but no EEG input given")
             x = np.asarray(eeg, dtype=self.dtype)
             if x.ndim != 3:
                 raise DataError(f"EEG batch must be [N, ch, T], got {x.shape}")
-            outs.append(self.branch1_forward(x[:, None, :, :], train=train))
-        if c.use_branch2_input1 or c.use_branch2_input2:
+        if use_tfr:
             if tfr is None:
                 raise DataError("branch 2 enabled but no TFR input given")
             t = np.asarray(tfr, dtype=self.dtype)
             if t.ndim != 4:
                 raise DataError(f"TFR batch must be [N, ch, F, T], got {t.shape}")
+            if c.use_branch1 and len(t) != len(x):
+                raise DataError(f"EEG batch of {len(x)} trials but TFR batch of {len(t)}")
+        outs = []
+        if c.use_branch1:
+            outs.append(self.branch1_forward(x[:, None, :, :], train=train))
+        if use_tfr:
             v1 = t if c.use_branch2_input1 else None
             # a transposed view, not a copy: the time convs read it one trial at a time
             v2 = t.transpose(0, 2, 1, 3) if c.use_branch2_input2 else None

@@ -161,9 +161,12 @@ def morlet_power(x: np.ndarray, plan: MorletPlan) -> np.ndarray:
     spec = np.fft.fft(xp, n, axis=-1)
     wspec = np.fft.fft(plan.taps, n, axis=-1)
     out = np.empty((ch, plan.n_freqs, n_t), dtype=np.float64)
+    prod = np.empty_like(spec)  # one product buffer, inverse-transformed in place
     for i in range(plan.n_freqs):
-        conv = np.fft.ifft(spec * wspec[i], axis=-1)[:, k - 1 : k - 1 + n_t]
-        out[:, i, :] = conv.real ** 2 + conv.imag ** 2
+        np.fft.ifft(np.multiply(spec, wspec[i], out=prod), axis=-1, out=prod)
+        conv = prod[:, k - 1 : k - 1 + n_t]
+        np.square(conv.real, out=out[:, i, :])
+        out[:, i, :] += conv.imag ** 2
     return out
 
 

@@ -138,20 +138,15 @@ class TrainResult:
     best_test_acc: float | None
 
 
-def _views(ts: TrialSet, idx) -> tuple:
-    eeg = ts.eeg[idx]
-    tfr = None if ts.tfr is None else ts.tfr[idx]
-    return eeg, tfr
-
-
 def evaluate(model: DualTsstModel, ts: TrialSet, batch_size: int = 64) -> np.ndarray:
     """Predicted labels for every trial, eval-mode batch norm, no grad."""
     preds = []
     with no_grad():
         for start in range(0, len(ts), batch_size):
-            idx = np.arange(start, min(start + batch_size, len(ts)))
-            eeg, tfr = _views(ts, idx)
-            logits = model.forward(eeg, tfr, train=False)
+            # contiguous slices are views: no batch is copied
+            batch = slice(start, start + batch_size)
+            tfr = None if ts.tfr is None else ts.tfr[batch]
+            logits = model.forward(ts.eeg[batch], tfr, train=False)
             preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds)
 
@@ -207,13 +202,9 @@ def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
             eeg, tfr, labels = batch.eeg, batch.tfr, batch.labels
             n_real = len(labels)
             if cfg.augment_segments > 0:
-                if tfr is None:
-                    raise DataError("augmentation needs TFR sidecars")
-                a_eeg, a_tfr, a_labels = aug.augment_batch(
-                    batch, cfg.augment_segments, augment_rng)
-                eeg = np.concatenate([eeg, a_eeg])
-                tfr = np.concatenate([tfr, a_tfr])
-                labels = np.concatenate([labels, a_labels])
+                eeg, tfr, labels = (np.concatenate(pair) for pair in zip(
+                    (eeg, tfr, labels), aug.augment_batch(batch, cfg.augment_segments, augment_rng)))
+            del batch  # with augmentation, only the joined arrays live through the step
 
             model.zero_grad()
             logits = model.forward(eeg, tfr, train=True)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,80 @@ def test_session_split_through_manifest(tmp_path):
     dataio.write_dataset(tmp_path, ts, splits=splits)
     train, test = dataio.load_dataset(tmp_path, dataio.SplitPlan(mode="session"))
     assert len(train) == 2 and len(test) == 1
+
+
+@pytest.mark.parametrize("mode", ["kfold", "session"])
+def test_load_dataset_equals_the_whole_set_normalised_then_split(tmp_path, mode):
+    """Each split holds the bits of z-scoring the whole set, then subsetting."""
+    ts = dataio.synth(5, 4, 64, 128.0, MINI_CLASSES, noise=0.3, seed=4)
+    tags = ["test" if i % 3 == 1 else "train" for i in range(len(ts))]
+    dataio.write_dataset(tmp_path, ts, splits=tags if mode == "session" else None)
+    dataio.transform_dataset(tmp_path, [4.0, 8.0, 12.0], band=(2.0, 30.0))
+    plan = dataio.SplitPlan(mode=mode, k=3, fold=1, seed=2)
+    raw = dataio.load_trialset(tmp_path, require_tfr=True, normalize=False)
+    eeg, tfr = signal.zscore(raw.eeg), signal.zscore(raw.tfr)
+    splits = dataio.load_dataset(tmp_path, plan, require_tfr=True)
+    for part, idx in zip(splits, dataio.split_indices(len(raw), plan, tags=tags)):
+        assert np.array_equal(part.eeg, eeg[idx]) and np.array_equal(part.tfr, tfr[idx])
+        assert np.array_equal(part.labels, raw.labels[idx])
+        assert part.subjects == [raw.subjects[i] for i in idx]
+
+
+def test_unnormalised_load_holds_the_stored_values(tmp_path):
+    make_dataset(tmp_path)
+    full = dataio.load_trialset(tmp_path, require_tfr=True, normalize=False)
+    files = [t.file for t in dataio.load_manifest(tmp_path).trials]
+    eeg = np.stack([dataio.read_array(tmp_path / f) for f in files])
+    tfr = np.stack([dataio.read_array(dataio._tfr_path(tmp_path, f)) for f in files])
+    assert full.eeg.dtype == full.tfr.dtype == np.float64
+    assert np.array_equal(full.eeg, eeg) and np.array_equal(full.tfr, tfr)
+
+
+def _bci2a_dataset(root, n):
+    """``n`` random trials at the bci2a preset's geometry, half of them test."""
+    p = dataio.preset("bci2a")
+    rng = np.random.default_rng(n)
+    freqs = p.freqs()
+    ts = dataio.TrialSet(eeg=rng.normal(size=(n, p.n_channels, p.n_times)),
+                         labels=np.arange(n) % p.n_classes, fs=p.fs, freqs=freqs,
+                         tfr=rng.random(size=(n, p.n_channels, freqs.size, p.n_times)))
+    dataio.write_dataset(root, ts, splits=["train", "test"] * (n // 2))
+
+
+def test_load_dataset_peak_grows_by_little_more_than_the_bytes_kept(tmp_path):
+    """At the paper's bci2a geometry each trial adds to the load peak about
+    what it adds to the arrays kept: no trial list, stacked or split copy."""
+    peaks, kept = [], []
+    for n in (2, 6):
+        _bci2a_dataset(tmp_path / str(n), n)
+        tracemalloc.start()
+        try:
+            splits = dataio.load_dataset(tmp_path / str(n), dataio.SplitPlan(mode="session"),
+                                         require_tfr=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        kept.append(sum(part.eeg.nbytes + part.tfr.nbytes for part in splits))
+        del splits
+    slope, per_trial = (peaks[1] - peaks[0]) / 4, (kept[1] - kept[0]) / 4
+    assert slope <= 1.25 * per_trial, (f"peak grows {slope / 2**20:.2f} MiB per trial, "
+                                       f"{per_trial / 2**20:.2f} MiB kept")
+
+
+def test_a_test_split_of_another_shape_is_a_one_line_data_error(tmp_path, capsys):
+    ts = dataio.synth(3, 4, 64, 128.0, MINI_CLASSES, noise=0.3, seed=1)
+    dataio.write_dataset(tmp_path, ts, splits=["train"] * 4 + ["test"] * 2)
+    dataio.transform_dataset(tmp_path, dataio.preset("mini").freqs())
+    for entry in dataio.load_manifest(tmp_path).trials[4:]:
+        dataio.write_array(tmp_path / entry.file, np.zeros((4, 48)))
+        dataio.write_array(dataio._tfr_path(tmp_path, entry.file), np.zeros((4, 6, 48)))
+    with pytest.raises(DataError, match=r"trial_0004.eegt: shape \(4, 48\) != \(4, 64\)"):
+        dataio.load_dataset(tmp_path, dataio.SplitPlan(mode="session"), require_tfr=True)
+    code = cli.dispatch(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                         "--preset", "mini", "--split", "session", "--epochs", "1", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "trial_0004.eegt: shape (4, 48)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ of full-height depthwise ``[C, 1, H, 1]`` kernels.
 
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -203,21 +204,35 @@ def _fft_passes_of(n):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_trial_parallel_fft_runs_in_a_forked_child():
-    """A forked child inherits the pool object but not its threads."""
-    want = _fft_passes_of(4)  # the pool now exists in this process
+    """A child forked after the parent ran trial-parallel rFFTs runs them too."""
+    want = _fft_passes_of(4)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         got = pool.apply_async(_fft_passes_of, (4,)).get(timeout=60)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_fork_while_the_pool_lock_is_held_does_not_deadlock_the_child():
-    want = _fft_passes_of(4)
-    with kernels._pool_lock:  # as if another thread were creating the pool
-        pool = multiprocessing.get_context("fork").Pool(1)
-    with pool:
-        got = pool.apply_async(_fft_passes_of, (4,)).get(timeout=60)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def test_no_thread_outlives_an_fft_conv_call():
+    before = threading.active_count()
+    _fft_passes_of(3)
+    assert threading.active_count() == before
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("dualtsst")]
+
+
+def test_an_error_on_the_helper_thread_reaches_the_caller():
+    ran_on = {}
+
+    def trial(b):
+        ran_on[b] = threading.current_thread()
+        if b == 1:
+            raise ArithmeticError("trial 1 failed")
+        return b
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="trial 1 failed"):
+        list(kernels._per_trial(trial, 4))
+    assert ran_on[1] is not threading.current_thread()
+    assert 2 not in ran_on  # the next group never started
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

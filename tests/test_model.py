@@ -71,6 +71,19 @@ def test_branch_input_validation(rng):
                               rng.normal(size=(1, 4, 6, 64)))  # view 2 not transposed
 
 
+@pytest.mark.parametrize("train", [False, True])
+def test_eeg_and_tfr_batches_of_different_sizes_are_a_data_error(rng, monkeypatch, train):
+    model = mini_model()
+    eeg, _ = mini_inputs(rng, n=3)
+    _, tfr = mini_inputs(rng, n=4)
+    ran = []
+    monkeypatch.setattr(model, "branch1_forward", lambda *a, **k: ran.append("branch 1"))
+    monkeypatch.setattr(model, "branch2_forward", lambda *a, **k: ran.append("branch 2"))
+    with pytest.raises(DataError, match="^EEG batch of 3 trials but TFR batch of 4$"):
+        model.forward(eeg, tfr, train=train)
+    assert ran == []
+
+
 def test_config_validation_errors():
     with pytest.raises(DataError):
         ModelConfig(n_channels=4, n_times=64, n_freqs=6, n_classes=2,

@@ -269,3 +269,18 @@ def test_evaluate_covers_all_trials():
     preds = train.evaluate(model, te, batch_size=3)
     assert preds.shape == (len(te),)
     assert set(np.unique(preds)) <= {0, 1}
+
+
+def test_evaluate_batches_that_do_not_divide_the_trials():
+    tr, _ = tiny_sets()
+    model = build_model()
+    batch = 5
+    assert len(tr) % batch != 0
+    copied = []  # fancy-indexed copies of each batch, as evaluate once took them
+    with T.no_grad():
+        for start in range(0, len(tr), batch):
+            idx = np.arange(start, min(start + batch, len(tr)))
+            copied.append(np.argmax(model.forward(tr.eeg[idx], tr.tfr[idx]).data, axis=1))
+    preds = train.evaluate(model, tr, batch_size=batch)
+    assert np.array_equal(preds, np.concatenate(copied))
+    assert np.array_equal(preds, train.evaluate(model, tr, batch_size=1))
