@@ -319,11 +319,15 @@ def _cmd_eval(args) -> int:
     model = DualTsstModel.load(args.model)
     p = dataio.preset(args.preset) if args.preset else None
     plan = _split_plan_from_args(args, p)
-    _, test_set = dataio.load_dataset(args.data, plan, require_tfr=True)
+    test_set = dataio.load_trialset(args.data, require_tfr=True,
+                                    manifest=dataio.split_manifest(args.data, plan)[1])
     geometry = (test_set.n_channels, test_set.n_times, test_set.n_freqs)
     expected = (model.config.n_channels, model.config.n_times, model.config.n_freqs)
     if geometry != expected:
         raise DataError(f"dataset geometry {geometry} != model geometry {expected}")
+    if len(test_set.class_names) != model.config.n_classes:
+        raise DataError(f"dataset has {len(test_set.class_names)} classes, "
+                        f"model has {model.config.n_classes}")
 
     preds = training.evaluate(model, test_set)
     report = metrics.evaluate_predictions(

@@ -536,19 +536,23 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
     )
 
 
+def split_manifest(dataset_dir, plan: SplitPlan) -> tuple:
+    """A dataset directory's manifest cut into (train, test) manifests by ``plan``."""
+    manifest = load_manifest(dataset_dir)
+    tags = [t.split for t in manifest.trials]
+    return tuple(dataclasses.replace(manifest, trials=[manifest.trials[i] for i in idx])
+                 for idx in split_indices(len(manifest.trials), plan, tags=tags))
+
+
 def load_dataset(dataset_dir, plan: SplitPlan, require_tfr: bool = False):
     """Load a dataset directory split into (train, test) TrialSets.  The split
     is taken on the manifest and each split read on its own: the whole set
     is never held."""
-    manifest = load_manifest(dataset_dir)
-    tags = [t.split for t in manifest.trials]
-    train_idx, test_idx = split_indices(len(manifest.trials), plan, tags=tags)
-    train, test = (load_trialset(dataset_dir, require_tfr=require_tfr,
-                                 manifest=dataclasses.replace(
-                                     manifest, trials=[manifest.trials[i] for i in idx]))
-                   for idx in (train_idx, test_idx))
+    manifests = split_manifest(dataset_dir, plan)
+    train, test = (load_trialset(dataset_dir, require_tfr=require_tfr, manifest=m)
+                   for m in manifests)
     if test.eeg.shape[1:] != train.eeg.shape[1:]:
-        raise DataError(f"{manifest.trials[test_idx[0]].file}: shape {test.eeg.shape[1:]} != "
+        raise DataError(f"{manifests[1].trials[0].file}: shape {test.eeg.shape[1:]} != "
                         f"{train.eeg.shape[1:]} of the training trials")
     return train, test
 

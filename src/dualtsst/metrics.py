@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import atomic_open
 from .errors import DataError
 
 EXACT_LIMIT = 12
@@ -207,13 +208,13 @@ def evaluate_predictions(y_true, y_pred, class_names, config=None) -> EvalReport
 
 
 def export_report(report: EvalReport, out_dir) -> tuple:
-    """Write ``confusion.csv`` (header of pred_<class> columns) and ``report.json``."""
+    """Atomically write ``confusion.csv`` (pred_<class> columns) and ``report.json``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "confusion.csv"
     header = ",".join(f"pred_{name}" for name in report.class_names)
     rows = [",".join(str(int(v)) for v in row) for row in report.confusion]
-    csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    with atomic_open(csv_path) as fh:
+        fh.write(header + "\n" + "\n".join(rows) + "\n")
 
     json_path = out_dir / "report.json"
     payload = {
@@ -226,7 +227,8 @@ def export_report(report: EvalReport, out_dir) -> tuple:
         "config": report.config,
     }
     payload.update(report.extra)
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    with atomic_open(json_path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path
 
 

@@ -8,22 +8,20 @@ array, not a copy).  Each branch runs
     time conv -> batch norm -> separable (depthwise) spatial or frequency
     conv -> batch norm -> ELU -> average pooling -> pointwise conv
 
-and is reshaped to a [L_i, D] feature sequence.  The first batch norm is
-folded around the depthwise conv (``tensor.batch_norm_depthwise``), so
-the normalised time-conv output is never built or kept for backward.
+and is reshaped to a [L_i, D] feature sequence.  The stem, time conv ->
+batch norm -> depthwise conv, is one op (``tensor.time_conv_bn_depthwise``)
+with the batch norm folded around the depthwise conv, so the normalised
+time-conv output is never built.
 Enabled branch outputs are concatenated along the sequence axis, a
 learnable positional encoding is added, and a post-norm transformer
 encoder plus a GAP/MLP head produce the class logits.
 
 Inference, ``train=False`` with no graph recorded (under
-``tensor.no_grad``, as in ``train.evaluate``), takes another path chosen
-by that mode alone: batch norm is affine with running statistics, so time
-conv -> batch norm -> depthwise conv is one ``kernels.conv2d_forward``
-call that contracts the depthwise kernel before the inverse rFFT
-(``tensor.conv2d_batch_norm_depthwise``), and the ``[N, C, H, W-k+1]``
-time-conv output is never built.  Its logits are bit-identical to the
-graph path's below ``kernels.FFT_MIN_TAPS`` taps (the ``mini`` preset)
-and agree to about 1e-15 relative above.
+``tensor.no_grad``, as in ``train.evaluate``), needs no time-conv output,
+and the stem op runs as one ``kernels.conv2d_forward`` call that contracts
+the depthwise kernel before the inverse rFFT.  Its logits are
+bit-identical to the graph path's below ``kernels.FFT_MIN_TAPS`` taps
+(the ``mini`` preset) and agree to about 1e-15 relative above.
 
 Attention scores are scaled by 1/sqrt(embed_dim), the full embedding
 width, not the per-head width.  The scale is applied to the queries
@@ -281,14 +279,10 @@ class DualTsstModel:
 
     def _branch(self, prefix: str, x, pool: int, stride: int, train: bool):
         c = self.config
-        tc, sc = self.params[f"{prefix}.tc.weight"], self.params[f"{prefix}.sc.weight"]
-        bn1 = self._bn_state(f"{prefix}.bn1")
-        if train or T.is_grad_enabled():
-            h = T.conv2d(x, tc)
-            h = T.batch_norm_depthwise(h, *bn1, sc, train, momentum=BN_MOMENTUM, eps=BN_EPS)
-        else:
-            # inference: the depthwise conv is contracted inside the time conv
-            h = T.conv2d_batch_norm_depthwise(x, tc, *bn1, sc, eps=BN_EPS)
+        h = T.time_conv_bn_depthwise(x, self.params[f"{prefix}.tc.weight"],
+                                     *self._bn_state(f"{prefix}.bn1"),
+                                     self.params[f"{prefix}.sc.weight"], train,
+                                     momentum=BN_MOMENTUM, eps=BN_EPS)
         h = T.batch_norm(h, *self._bn_state(f"{prefix}.bn2"), train,
                          momentum=BN_MOMENTUM, eps=BN_EPS)
         h = T.elu(h)

@@ -46,6 +46,7 @@ class MorletPlan:
     n_cycles: np.ndarray = field(init=False)
     sigma_t: np.ndarray = field(init=False)
     taps: np.ndarray = field(init=False)
+    _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=np.float64)
@@ -81,6 +82,12 @@ class MorletPlan:
     @property
     def support(self) -> int:
         return self.taps.shape[1]
+
+    def spectrum(self, n: int) -> np.ndarray:
+        """The taps' ``n``-point FFT ``[F, n]``, computed once per length."""
+        if n not in self._spectra:
+            self._spectra[n] = np.fft.fft(self.taps, n, axis=-1)
+        return self._spectra[n]
 
 
 def make_morlet_plan(freqs, fs: float) -> MorletPlan:
@@ -159,7 +166,7 @@ def morlet_power(x: np.ndarray, plan: MorletPlan) -> np.ndarray:
     xp = np.pad(x, ((0, 0), (half, half)), mode="reflect")
     n = fft_length(xp.shape[-1])
     spec = np.fft.fft(xp, n, axis=-1)
-    wspec = np.fft.fft(plan.taps, n, axis=-1)
+    wspec = plan.spectrum(n)
     out = np.empty((ch, plan.n_freqs, n_t), dtype=np.float64)
     prod = np.empty_like(spec)  # one product buffer, inverse-transformed in place
     for i in range(plan.n_freqs):
@@ -175,11 +182,10 @@ def morlet_power(x: np.ndarray, plan: MorletPlan) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def zscore(x: np.ndarray, axes=(-1,)) -> np.ndarray:
-    """(x - mean) / population-std over ``axes``; degenerate slices become 0."""
+def zscore(x: np.ndarray) -> np.ndarray:
+    """(x - mean) / population-std over the last axis; degenerate slices become 0."""
     x = np.asarray(x, dtype=np.float64)
-    axes = tuple(axes) if isinstance(axes, (tuple, list)) else (axes,)
-    mu = x.mean(axis=axes, keepdims=True)
-    sd = x.std(axis=axes, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = x.std(axis=-1, keepdims=True)
     ok = sd >= ZSCORE_GUARD
     return np.where(ok, (x - mu) / np.where(ok, sd, 1.0), 0.0)

@@ -141,9 +141,14 @@ def _pair(a, b):
     return as_tensor(a), as_tensor(b)
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return is_grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _track(data, parents, vjp) -> Tensor:
     out = Tensor(data)
-    if is_grad_enabled() and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -501,88 +506,66 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     return _track(out, (x, gamma, beta), vjp)
 
 
-def _normalise_depthwise(out, mu, a, beta, ksum):
-    """``a * (out - mu * ksum) + beta * ksum`` per channel, in place: batch
-    norm moved behind a depthwise conv whose kernels sum to ``ksum``."""
-    gshape = (1, -1, 1, 1)
-    out -= (mu * ksum).reshape(gshape)
-    out *= a.reshape(gshape)
-    out += (beta * ksum).reshape(gshape)
-    return out
+def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, depthwise,
+                           train: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """``conv2d(batch_norm(conv2d(x, kernel), ...), depthwise)``: a branch's stem.
 
-
-def batch_norm_depthwise(x, gamma, beta, running_mean, running_var, kernel, train: bool,
-                         momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """``conv2d(batch_norm(x, ...), kernel)`` without the normalised x.
-
-    ``kernel`` is a full-height depthwise [C, 1, H, 1] kernel.  Batch norm
-    is affine per channel, ``a * (x - mu) + beta`` with ``a = gamma / sigma``,
-    so it passes through the convolution as per-channel scalars on the small
-    output: ``a * (conv(x) - mu * sum(k)) + beta * sum(k)``.  The backward
-    pass reduces the gamma, beta and kernel gradients in the output space
-    and applies the batch-statistics terms of the input gradient in place.
-    Batch statistics and running buffers behave as in :func:`batch_norm`.
+    ``kernel`` is a time conv [Cout, Cin, 1, k], ``depthwise`` a full-height
+    [Cout, 1, H, 1] kernel.  Batch norm of the time-conv output ``h`` is
+    affine per channel, ``a * (h - mu) + beta`` with ``a = gamma / sigma``,
+    so it is applied after the depthwise conv, on the small output:
+    ``a * (conv(h) - mu * sum(d)) + beta * sum(d)``.  Batch statistics and
+    running buffers behave as in :func:`batch_norm`.  Only the backward
+    holds ``h``; in eval mode with no graph recorded nothing needs it, and
+    one ``kernels.conv2d_forward`` call runs both convs (bit-identical below
+    ``kernels.FFT_MIN_TAPS`` taps).
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
+    x, kernel, depthwise = as_tensor(x), as_tensor(kernel), as_tensor(depthwise)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ValueError("batch_norm_depthwise expects 4-d input and kernel")
-    n, c, h, w = x.data.shape
-    if kernel.data.shape != (c, 1, h, 1):
-        raise ValueError(f"depthwise kernel {kernel.data.shape} != ({c}, 1, {h}, 1)")
-    m = n * h * w
-    axes = (0, 2, 3)
-    gshape = (1, c, 1, 1)
-    mu, var = _moments(x.data, running_mean, running_var, train, momentum)
+        raise ValueError("time_conv_bn_depthwise expects 4-d input and kernels")
+    c, h_in = kernel.data.shape[0], x.data.shape[2]
+    if depthwise.data.shape != (c, 1, h_in, 1):
+        raise ValueError(f"depthwise kernel {depthwise.data.shape} != ({c}, 1, {h_in}, 1)")
+    parents = (x, kernel, gamma, beta, depthwise)
+    if train or _records(parents):
+        h = kernels.conv2d_forward(x.data, kernel.data, (1, 1))
+        out = kernels.conv2d_forward(h, depthwise.data, (1, 1))
+    else:
+        h = None
+        out = kernels.conv2d_forward(x.data, kernel.data, (1, 1), depthwise=depthwise.data)
+    mu, var = _moments(h, running_mean, running_var, train, momentum)
     inv = 1.0 / np.sqrt(var + eps)
     a = gamma.data * inv
-    ksum = kernel.data.sum(axis=(1, 2, 3))
-    out = _normalise_depthwise(kernels.conv2d_forward(x.data, kernel.data, (1, 1)),
-                               mu, a, beta.data, ksum)
+    ksum = depthwise.data.sum(axis=(1, 2, 3))
+    gshape = (1, c, 1, 1)
+    out -= (mu * ksum).reshape(gshape)
+    out *= a.reshape(gshape)
+    out += (beta.data * ksum).reshape(gshape)
 
     def vjp(g):
-        gsum = g.sum(axis=axes)
-        # kernel gradient of the normalised input: a * (conv_k(g, x) - mu * sum(g)) + beta * sum(g)
-        centred = kernels.conv2d_backward_kernel(g, x.data, kernel.data.shape)
+        gsum = g.sum(axis=(0, 2, 3))
+        # depthwise gradient of the normalised h: a * (conv_d(g, h) - mu * sum(g)) + beta * sum(g)
+        centred = kernels.conv2d_backward_kernel(g, h, depthwise.data.shape)
         centred -= (mu * gsum).reshape(c, 1, 1, 1)
-        gkernel = centred * a.reshape(c, 1, 1, 1)
-        gkernel += (beta.data * gsum).reshape(c, 1, 1, 1)
+        gdepthwise = centred * a.reshape(c, 1, 1, 1)
+        gdepthwise += (beta.data * gsum).reshape(c, 1, 1, 1)
         gbeta = ksum * gsum
-        ggamma = inv * np.einsum("cijk,cijk->c", kernel.data, centred)
-        gx = kernels.conv2d_backward_input(g * a.reshape(gshape), kernel.data, x.data.shape)
+        ggamma = inv * np.einsum("cijk,cijk->c", depthwise.data, centred)
+        gh = kernels.conv2d_backward_input(g * a.reshape(gshape), depthwise.data, h.shape)
         if train:
-            # gx -= a * (mean(g') + xhat * mean(g' * xhat)), g' the normalised
-            # input's gradient, one trial at a time
+            # gh -= a * (mean(g') + hhat * mean(g' * hhat)), g' the normalised
+            # h's gradient, one trial at a time
+            m = h.size // c
             mu3, slope = mu.reshape(c, 1, 1), (a * ggamma * inv / m).reshape(c, 1, 1)
-            for gxb, xb in zip(gx, x.data):
-                gxb -= (xb - mu3) * slope
-            gx -= (a * gbeta / m).reshape(gshape)
-        return ((x, gx), (gamma, ggamma), (beta, gbeta), (kernel, gkernel))
+            for ghb, hb in zip(gh, h):
+                ghb -= (hb - mu3) * slope
+            gh -= (a * gbeta / m).reshape(gshape)
+        return ((x, kernels.conv2d_backward_input(gh, kernel.data, x.data.shape)),
+                (kernel, kernels.conv2d_backward_kernel(gh, x.data, kernel.data.shape)),
+                (gamma, ggamma), (beta, gbeta), (depthwise, gdepthwise))
 
-    return _track(out, (x, gamma, beta, kernel), vjp)
-
-
-def conv2d_batch_norm_depthwise(x, kernel, gamma, beta, running_mean, running_var,
-                                depthwise, eps: float = 1e-5) -> Tensor:
-    """Inference-only ``batch_norm_depthwise(conv2d(x, kernel), gamma, beta,
-    running_mean, running_var, depthwise, train=False)``.
-
-    ``kernels.conv2d_forward`` runs both convs in one call, so a time conv
-    on the rFFT path inverse-transforms ``Cout`` rows rather than
-    ``Cout * H`` and never builds its ``[N, Cout, H, W-k+1]`` output; the
-    eval-mode batch norm is then the same per-channel arithmetic as in
-    :func:`batch_norm_depthwise`.  No graph is recorded, so it may only run
-    under :class:`no_grad`.
-    """
-    if is_grad_enabled():
-        raise ValueError("conv2d_batch_norm_depthwise records no graph; call it under no_grad")
-    x, kernel, depthwise = as_tensor(x), as_tensor(kernel), as_tensor(depthwise)
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ValueError("conv2d_batch_norm_depthwise expects 4-d input and kernel")
-    a = as_tensor(gamma).data * (1.0 / np.sqrt(running_var + eps))  # as batch_norm_depthwise
-    out = kernels.conv2d_forward(x.data, kernel.data, (1, 1), depthwise=depthwise.data)
-    return Tensor(_normalise_depthwise(out, running_mean, a, as_tensor(beta).data,
-                                       depthwise.data.sum(axis=(1, 2, 3))))
+    return _track(out, parents, vjp)
 
 
 def gap(x) -> Tensor:

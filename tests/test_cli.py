@@ -5,8 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from dualtsst import dataio
+from dualtsst import dataio, train as training
 from dualtsst.cli import dispatch
+from dualtsst.model import DualTsstModel, config_from_preset
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +399,54 @@ def test_eval_geometry_mismatch_exits_2(tmp_path, mini_data):
     code = dispatch(["eval", "--model", str(out / "model_final.dtss"),
                      "--data", str(other), "--out", str(tmp_path / "e")])
     assert code == 2
+
+
+def mini_checkpoint(path, **overrides):
+    cfg = dataclasses.replace(config_from_preset(dataio.preset("mini")), **overrides)
+    DualTsstModel(cfg, rng=np.random.default_rng(0)).save(path)
+    return path
+
+
+@pytest.mark.parametrize("data_classes,model_classes", [(2, 4), (4, 2)])
+def test_eval_class_count_mismatch_exits_2(tmp_path, mini_data, capsys, data_classes,
+                                           model_classes):
+    data = mini_data
+    if data_classes != 2:
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(data), "--preset", "mini", "--n", "3",
+                         "--classes", "8,12,16,20"]) == 0
+        assert dispatch(["transform", "--data", str(data), "--preset", "mini"]) == 0
+    model = mini_checkpoint(tmp_path / "m.dtss", n_classes=model_classes)
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert dispatch(["eval", "--model", str(model), "--data", str(data), "--out", str(out),
+                     "--preset", "mini"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: dataset has {data_classes} classes, model has {model_classes}\n")
+    assert not (out / "report.json").exists()
+
+
+def test_eval_reads_only_the_test_split(tmp_path, mini_data, monkeypatch):
+    model = mini_checkpoint(tmp_path / "m.dtss")
+    plan = dataio.preset("mini").split_plan()
+    evaluated = []
+    evaluate = training.evaluate
+    monkeypatch.setattr(training, "evaluate", lambda m, ts, **kw: (
+        evaluated.append(ts), evaluate(m, ts, **kw))[1])
+    argv = ["eval", "--model", str(model), "--preset", "mini"]
+    assert dispatch([*argv, "--data", str(mini_data), "--out", str(tmp_path / "e1")]) == 0
+    want = dataio.load_dataset(mini_data, plan, require_tfr=True)[1]
+    for a, b in ((evaluated[0].eeg, want.eeg), (evaluated[0].tfr, want.tfr),
+                 (evaluated[0].labels, want.labels)):
+        assert np.array_equal(a, b)
+
+    data = tmp_path / "data"
+    shutil.copytree(mini_data, data)
+    train_manifest = dataio.split_manifest(data, plan)[0]
+    (data / train_manifest.trials[0].file).unlink()  # a training trial is never read
+    assert dispatch([*argv, "--data", str(data), "--out", str(tmp_path / "e2")]) == 0
+    for name in ("report.json", "confusion.csv"):
+        assert (tmp_path / "e2" / name).read_bytes() == (tmp_path / "e1" / name).read_bytes()
 
 
 # the model and train sections of a resolved_config.json written while

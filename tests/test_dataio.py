@@ -1,12 +1,13 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtsst import cli, dataio, signal, train
+from dualtsst import cli, dataio, metrics, signal, train
 from dualtsst.errors import DataError
 from dualtsst.model import DualTsstModel, config_from_preset
 
@@ -107,6 +108,21 @@ def _save_model(tmp_path, version):
     return tmp_path / "model_best.dtss"
 
 
+def _export_report(tmp_path, version):
+    labels = np.array([0, 1, 1, 0])
+    preds = labels if version else np.array([0, 1, 0, 0])
+    return metrics.export_report(metrics.evaluate_predictions(labels, preds, ["a", "b"]),
+                                 tmp_path)
+
+
+def _export_confusion_csv(tmp_path, version):
+    return _export_report(tmp_path, version)[0]
+
+
+def _export_report_json(tmp_path, version):
+    return _export_report(tmp_path, version)[1]
+
+
 class DiskFullAfter10Bytes:
     """A file object that writes 10 bytes, then raises as a full disk would."""
 
@@ -127,13 +143,18 @@ class DiskFullAfter10Bytes:
         return self.fh.write(data)
 
 
-@pytest.mark.parametrize("write", [_save_manifest, _write_log_csv, _write_resolved, _save_model])
+@pytest.mark.parametrize("write", [_save_manifest, _write_log_csv, _write_resolved, _save_model,
+                                   _export_confusion_csv, _export_report_json])
 def test_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch, write):
     target = write(tmp_path, 0)
     before = target.read_bytes()
     names = sorted(p.name for p in target.parent.iterdir())
-    monkeypatch.setattr(dataio, "open", lambda *a, **kw: DiskFullAfter10Bytes(open(*a, **kw)),
-                        raising=False)
+
+    def cut_target(path, *args, **kw):  # other files of the same call are written whole
+        fh = open(path, *args, **kw)
+        return DiskFullAfter10Bytes(fh) if Path(path).name == target.name + ".tmp" else fh
+
+    monkeypatch.setattr(dataio, "open", cut_target, raising=False)
     with pytest.raises(OSError, match="disk full"):
         write(tmp_path, 1)
     assert target.read_bytes() == before

@@ -288,10 +288,11 @@ def test_depthwise_conv_keeps_float32():
 def test_only_full_height_depthwise_kernels_skip_the_loop(computed, rng):
     """[C, 1, H, 1] kernels over a C-channel input of height H are one
     contraction per pass; every other grouped shape, or a stride, raises
-    from kernels, tensor.conv2d and tensor.batch_norm_depthwise."""
+    from kernels, tensor.conv2d and tensor.time_conv_bn_depthwise."""
     x = rng.normal(size=(2, 4, 3, 10))
     assert passes(computed, x, rng.normal(size=(4, 1, 3, 1))) == [
         ["nchw,ch->ncw"], [], ["ncw,nchw->ch"]]
+    time_conv = T.Tensor(rng.normal(size=(4, 4, 1, 3)))  # [2, 4, 3, 8] out of x
     bn = (T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)), np.zeros(4), np.ones(4))
     for w_shape in [(4, 1, 2, 1),   # partial height
                     (4, 2, 3, 1),   # 2 channels per group
@@ -300,7 +301,7 @@ def test_only_full_height_depthwise_kernels_skip_the_loop(computed, rng):
         w = rng.normal(size=w_shape)
         assert_rejected(x, w)
         with pytest.raises(ValueError, match="depthwise kernel"):
-            T.batch_norm_depthwise(T.Tensor(x), *bn, T.Tensor(w), train=True)
+            T.time_conv_bn_depthwise(T.Tensor(x), time_conv, *bn, T.Tensor(w), train=True)
     for stride in [(1, 2), (2, 1)]:
         with pytest.raises(ValueError, match="stride"):
             kernels.conv2d_forward(x, rng.normal(size=(4, 1, 3, 1)), stride)

@@ -206,6 +206,19 @@ def test_morlet_inverse_transforms_at_the_circular_length(monkeypatch, rng, name
     assert lengths == [circular] * plan.n_freqs
 
 
+def test_transform_dataset_takes_the_taps_fft_once(tmp_path, monkeypatch):
+    ts = dataio.synth(3, 2, 64, 128.0, [dataio.SynthClass(8.0), dataio.SynthClass(20.0)],
+                      seed=1)
+    dataio.write_dataset(tmp_path, ts)
+    complex_inputs = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: (
+        complex_inputs.append(np.iscomplexobj(a)), fft(a, *args, **kw))[1])
+    assert dataio.transform_dataset(tmp_path, [4.0, 8.0, 16.0]) == 6
+    # one transform of each trial's real signal, one of the complex taps
+    assert sorted(complex_inputs) == [False] * 6 + [True]
+
+
 def test_morlet_peak_at_signal_frequency():
     fs, n_t = 250.0, 1000
     freqs = np.arange(4.0, 41.0, 2.0)
@@ -285,6 +298,6 @@ def test_zscore_idempotent(rng):
 
 def test_zscore_moments(rng):
     x = rng.normal(size=(5, 3, 50)) * 7 - 2
-    out = signal.zscore(x, axes=(-1,))
+    out = signal.zscore(x)
     assert np.all(np.abs(out.mean(axis=-1)) < 1e-10)
     assert np.all(np.abs(out.std(axis=-1) - 1.0) < 1e-8)

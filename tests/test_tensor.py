@@ -292,113 +292,138 @@ def test_batch_norm_keeps_float32(rng, train):
 
 
 # ---------------------------------------------------------------------------
-# batch_norm_depthwise: batch norm folded around a depthwise conv
+# time_conv_bn_depthwise: a branch stem, time conv then batch norm folded
+# around the depthwise conv (the tests named batch_norm_depthwise)
 # ---------------------------------------------------------------------------
 
-
-def _bn_depthwise_case(rng, shape, kh):
-    c = shape[1]
-    x = leaf(rng, *shape, scale=3.0)
-    x.data += rng.normal(size=(1, c, 1, 1))  # per-channel offsets
-    kernel = leaf(rng, c, 1, kh, 1)
-    gamma, beta = leaf(rng, c), leaf(rng, c)
-    rm, rv = rng.normal(size=c), np.abs(rng.normal(size=c)) + 0.5
-    return x, kernel, gamma, beta, rm, rv
+# a tap-loop and an rFFT time conv
+STEM_TAPS = (5, kernels.FFT_MIN_TAPS + 4)
 
 
-def _bn_depthwise_run(fused, x, kernel, gamma, beta, rm, rv, g, train):
-    """Output, the x/gamma/beta/kernel gradients and the running buffers of
-    the fused op or of ``conv2d(batch_norm(x))`` on fresh copies of the inputs."""
-    x, kernel, gamma, beta = (T.Tensor(t.data.copy(), requires_grad=True)
-                              for t in (x, kernel, gamma, beta))
+def _stem_case(rng, shape, taps, cin=2, dtype=np.float64):
+    """Leaves for a stem whose time-conv output has ``shape`` [N, C, H, W]."""
+    n, c, h, w = shape
+
+    def leaf_of(*s, scale=1.0):
+        return T.Tensor((scale * rng.normal(size=s)).astype(dtype), requires_grad=True)
+
+    x = leaf_of(n, cin, h, w + taps - 1)
+    kernel = leaf_of(c, cin, 1, taps)
+    kernel.data += rng.normal(size=(c, 1, 1, 1)).astype(dtype)  # per-channel offsets in h
+    depthwise, gamma, beta = leaf_of(c, 1, h, 1), leaf_of(c), leaf_of(c)
+    rm = rng.normal(size=c).astype(dtype)
+    rv = (np.abs(rng.normal(size=c)) + 0.5).astype(dtype)
+    return x, kernel, gamma, beta, rm, rv, depthwise
+
+
+def _stem_run(fused, x, kernel, gamma, beta, rm, rv, depthwise, g, train):
+    """Output, the x/kernel/gamma/beta/depthwise gradients and the running
+    buffers of the stem op or of ``conv2d(batch_norm(conv2d(x)))`` on fresh
+    copies of the inputs."""
+    x, kernel, gamma, beta, depthwise = (T.Tensor(t.data.copy(), requires_grad=True)
+                                         for t in (x, kernel, gamma, beta, depthwise))
     rm, rv = rm.copy(), rv.copy()
     if fused:
-        out = T.batch_norm_depthwise(x, gamma, beta, rm, rv, kernel, train=train)
+        out = T.time_conv_bn_depthwise(x, kernel, gamma, beta, rm, rv, depthwise, train)
     else:
-        out = T.conv2d(T.batch_norm(x, gamma, beta, rm, rv, train=train), kernel)
+        out = T.conv2d(T.batch_norm(T.conv2d(x, kernel), gamma, beta, rm, rv, train=train),
+                       depthwise)
     T.backward((out * T.Tensor(g)).sum())
-    return out.data, x.grad, gamma.grad, beta.grad, kernel.grad, rm, rv
+    return out.data, x.grad, kernel.grad, gamma.grad, beta.grad, depthwise.grad, rm, rv
+
+
+STEM_RESULTS = ("out", "x grad", "kernel grad", "gamma grad", "beta grad", "depthwise grad",
+                "running mean", "running var")
+
+
+def _assert_stem_matches(got, want, tol):
+    for name, a, b in zip(STEM_RESULTS, got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        err = np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert err <= tol, f"{name}: max relative error {err:.3e}"
 
 
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("shape,kh", [((2, 3, 4, 9), 4), ((1, 5, 6, 33), 6),
                                       ((1, 4, 2, 7), 2), ((3, 40, 22, 97), 22)])
 def test_batch_norm_depthwise_matches_the_unfused_ops(rng, train, shape, kh):
-    case = _bn_depthwise_case(rng, shape, kh)
-    g = rng.normal(size=(shape[0], shape[1], shape[2] - kh + 1, shape[3]))
-    got = _bn_depthwise_run(True, *case, g, train)
-    want = _bn_depthwise_run(False, *case, g, train)
-    for name, a, b in zip(("out", "x grad", "gamma grad", "beta grad", "kernel grad",
-                           "running mean", "running var"), got, want):
-        assert a.shape == b.shape, name
-        err = np.max(np.abs(a - b)) / np.max(np.abs(b))
-        assert err <= 1e-12, f"{name}: max relative error {err:.3e}"
+    for taps in STEM_TAPS:
+        case = _stem_case(rng, shape, taps)
+        g = rng.normal(size=(shape[0], shape[1], shape[2] - kh + 1, shape[3]))
+        _assert_stem_matches(_stem_run(True, *case, g, train),
+                             _stem_run(False, *case, g, train), tol=1e-12)
 
 
 def test_batch_norm_depthwise_gradients_train_and_eval(rng):
     for train in (True, False):
-        x, kernel, gamma, beta, rm, rv = _bn_depthwise_case(rng, (2, 3, 4, 5), 4)
+        x, kernel, gamma, beta, rm, rv, depthwise = _stem_case(rng, (2, 3, 4, 5), 3)
         w = T.Tensor(rng.normal(size=(2, 3, 1, 5)))  # break the zero-sum degeneracy
 
         def build():
-            return (T.batch_norm_depthwise(x, gamma, beta, rm.copy(), rv.copy(), kernel,
-                                           train=train) * w).sum()
+            return (T.time_conv_bn_depthwise(x, kernel, gamma, beta, rm.copy(), rv.copy(),
+                                             depthwise, train) * w).sum()
 
-        fd_check(build, [x, gamma, beta, kernel])
+        fd_check(build, [x, kernel, gamma, beta, depthwise])
 
 
 def test_batch_norm_depthwise_eval_gradient_ignores_later_buffer_updates(rng):
-    x, kernel, gamma, beta, rm, rv = _bn_depthwise_case(rng, (2, 3, 4, 5), 4)
+    x, kernel, gamma, beta, rm, rv, depthwise = _stem_case(rng, (2, 3, 4, 5), 3)
     g = rng.normal(size=(2, 3, 1, 5))
-    want = _bn_depthwise_run(False, x, kernel, gamma, beta, rm, rv, g, train=False)
-    out = T.batch_norm_depthwise(x, gamma, beta, rm, rv, kernel, train=False)
+    want = _stem_run(False, x, kernel, gamma, beta, rm, rv, depthwise, g, train=False)
+    out = T.time_conv_bn_depthwise(x, kernel, gamma, beta, rm, rv, depthwise, train=False)
     with T.no_grad():  # a train-mode call moves the running buffers before backward
-        T.batch_norm_depthwise(T.Tensor(x.data + 5.0), gamma, beta, rm, rv, kernel, train=True)
+        T.time_conv_bn_depthwise(T.Tensor(x.data + 5.0), kernel, gamma, beta, rm, rv,
+                                 depthwise, train=True)
     T.backward((out * T.Tensor(g)).sum())
-    for got, ref in zip((x.grad, gamma.grad, beta.grad, kernel.grad), want[1:5]):
+    for got, ref in zip((x.grad, kernel.grad, gamma.grad, beta.grad, depthwise.grad),
+                        want[1:6]):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("train", [True, False])
 def test_batch_norm_depthwise_keeps_float32(rng, train):
-    f32 = np.float32
-    x = T.Tensor(rng.normal(size=(2, 3, 4, 5)).astype(f32), requires_grad=True)
-    kernel = T.Tensor(rng.normal(size=(3, 1, 4, 1)).astype(f32), requires_grad=True)
-    gamma = T.Tensor(np.ones(3, dtype=f32), requires_grad=True)
-    beta = T.Tensor(np.zeros(3, dtype=f32), requires_grad=True)
-    rm, rv = np.zeros(3, dtype=f32), np.ones(3, dtype=f32)
-    out = T.batch_norm_depthwise(x, gamma, beta, rm, rv, kernel, train=train)
-    T.backward((out * T.Tensor(rng.normal(size=out.shape).astype(f32))).sum())
-    for a in (out.data, x.grad, gamma.grad, beta.grad, kernel.grad, rm, rv):
-        assert a.dtype == f32
+    for taps in STEM_TAPS:
+        case = _stem_case(rng, (2, 3, 4, 5), taps, dtype=np.float32)
+        g = rng.normal(size=(2, 3, 1, 5)).astype(np.float32)
+        got = _stem_run(True, *case, g, train)
+        assert all(a.dtype == np.float32 for a in got)
+        _assert_stem_matches(got, _stem_run(False, *case, g, train), tol=1e-4)
+        with T.no_grad():
+            x, kernel, gamma, beta, rm, rv, depthwise = case
+            out = T.time_conv_bn_depthwise(x, kernel, gamma, beta, rm, rv, depthwise, train)
+        assert out.dtype == np.float32
 
 
 def test_batch_norm_depthwise_rejects_a_non_depthwise_kernel(rng):
-    x = T.Tensor(rng.normal(size=(1, 3, 4, 5)))
+    x = T.Tensor(rng.normal(size=(1, 2, 4, 9)))
+    kernel = T.Tensor(rng.normal(size=(3, 2, 1, 5)))
     gamma, beta = T.Tensor(np.ones(3)), T.Tensor(np.zeros(3))
     rm, rv = _bn_state(3)
     for shape in [(3, 2, 4, 1), (6, 1, 4, 1), (3, 1, 5, 1), (3, 1, 2, 1), (3, 1, 4, 2)]:
-        with pytest.raises(ValueError):
-            T.batch_norm_depthwise(x, gamma, beta, rm, rv, T.Tensor(np.ones(shape)), train=True)
+        for train in (True, False):  # the graph path and, under no_grad, the inference path
+            with T.no_grad(), pytest.raises(ValueError, match="depthwise kernel"):
+                T.time_conv_bn_depthwise(x, kernel, gamma, beta, rm, rv,
+                                         T.Tensor(np.ones(shape)), train)
 
 
 @pytest.mark.parametrize("taps", [5, 20])  # tap loop and rFFT
 def test_conv2d_batch_norm_depthwise_equals_the_graph_ops(rng, taps):
+    """Eval mode with no graph recorded takes the inference path: one
+    kernels call with the depthwise kernel contracted inside the time conv."""
     x = T.Tensor(rng.normal(size=(3, 2, 4, 40)))
     w = leaf(rng, 3, 2, 1, taps)
-    kernel, gamma, beta = leaf(rng, 3, 1, 4, 1), leaf(rng, 3), leaf(rng, 3)
+    depthwise, gamma, beta = leaf(rng, 3, 1, 4, 1), leaf(rng, 3), leaf(rng, 3)
     rm, rv = rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.5
-    want = T.batch_norm_depthwise(T.conv2d(x, w), gamma, beta, rm, rv, kernel, train=False)
+    want = T.time_conv_bn_depthwise(x, w, gamma, beta, rm, rv, depthwise, train=False)
+    assert want.requires_grad
     with T.no_grad():
-        got = T.conv2d_batch_norm_depthwise(x, w, gamma, beta, rm, rv, kernel)
+        got = T.time_conv_bn_depthwise(x, w, gamma, beta, rm, rv, depthwise, train=False)
     assert got.shape == want.shape == (3, 3, 1, 41 - taps)
     assert not got.requires_grad
     if taps < kernels.FFT_MIN_TAPS:
         assert np.array_equal(got.data, want.data)
     else:
         assert np.max(np.abs(got.data - want.data)) / np.max(np.abs(want.data)) <= 1e-12
-    with pytest.raises(ValueError, match="no_grad"):  # it would drop every gradient
-        T.conv2d_batch_norm_depthwise(x, w, gamma, beta, rm, rv, kernel)
 
 
 # ---------------------------------------------------------------------------
