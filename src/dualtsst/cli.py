@@ -284,7 +284,6 @@ def _cmd_train(args) -> int:
 
     model_cfg = ModelConfig(**model_kwargs)
     train_cfg = training.TrainConfig(**train_kwargs)
-    model_cfg.validate()
     train_cfg.validate()
 
     model = DualTsstModel(model_cfg, rng=training.init_rng_for_seed(seed),
@@ -347,7 +346,9 @@ def _cmd_eval(args) -> int:
     if args.features:
         with no_grad():
             feats = model.pooled_features(test_set.eeg, test_set.tfr)
-        dataio.write_array(args.features, feats.data)
+        features = b"".join(dataio.array_chunks(feats.data))
+        with dataio.atomic_open(args.features, "wb") as fh:
+            fh.write(features)
     _write_resolved(args.out, {
         "command": "eval",
         "model": str(args.model),

@@ -1,9 +1,10 @@
 """The dual-branch temporal-spectral-spatial decoder.
 
-Branch 1 consumes the raw EEG [N, 1, ch, T]; branch 2 consumes the
-time-frequency power in two orientations, [N, ch, F, T] and its
-channel/frequency transpose [N, F, ch, T] (a transposed view of the same
-array, not a copy).  Each branch runs
+One table, ``ModelConfig.branches``, declares the enabled CNN branches in
+fusion order with their geometry; the ablations drop its rows.  Branch 1
+consumes the raw EEG [N, 1, ch, T]; branch 2 consumes the time-frequency
+power in two orientations, view 1 [N, ch, F, T] and view 2 [N, F, ch, T]
+(a transposed view of the same array, not a copy).  Each branch runs
 
     time conv -> batch norm -> separable (depthwise) spatial or frequency
     conv -> batch norm -> ELU -> average pooling -> pointwise conv
@@ -11,10 +12,10 @@ array, not a copy).  Each branch runs
 and is reshaped to a [L_i, D] feature sequence.  The stem, time conv ->
 batch norm -> depthwise conv, is one op (``tensor.time_conv_bn_depthwise``)
 with the batch norm folded around the depthwise conv, so the normalised
-time-conv output is never built.
-Enabled branch outputs are concatenated along the sequence axis, a
-learnable positional encoding is added, and a post-norm transformer
-encoder plus a GAP/MLP head produce the class logits.
+time-conv output is never built.  All branch inputs are checked against
+the table before any branch runs.  The branch outputs are concatenated
+along the sequence axis, a learnable positional encoding is added, and a
+post-norm transformer encoder plus a GAP/MLP head produce the class logits.
 
 Inference, ``train=False`` with no graph recorded (under
 ``tensor.no_grad``, as in ``train.evaluate``), needs no time-conv output,
@@ -36,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +71,16 @@ def drop_retired(values: dict, retired: dict, prefix: str) -> dict:
             raise DataError(f"{prefix}{key} is retired; only {json.dumps(kept)} is accepted, "
                             f"got {json.dumps(value)}")
     return {k: v for k, v in values.items() if k not in retired}
+
+
+# one CNN branch: its input is [N, in_channels, spatial, n_times], and its
+# depthwise conv spans the spatial (electrode or frequency) axis
+Branch = namedtuple("Branch", "in_channels spatial time_kernel pool pool_stride")
+
+
+def _seq_len(n_times: int, time_kernel: int, pool: int, stride: int) -> int:
+    """Length of a branch's output: a valid time conv, then pooling."""
+    return (n_times - time_kernel + 1 - pool) // stride + 1
 
 
 @dataclass
@@ -113,22 +125,28 @@ class ModelConfig:
         return self.pool_tfr // 2
 
     def seq_len_raw(self) -> int:
-        t1 = self.n_times - self.time_kernel_raw + 1
-        return (t1 - self.pool_raw) // self.raw_pool_stride() + 1
+        return _seq_len(self.n_times, self.time_kernel_raw, self.pool_raw,
+                        self.raw_pool_stride())
 
     def seq_len_tfr(self) -> int:
-        t1 = self.n_times - self.time_kernel_tfr + 1
-        return (t1 - self.pool_tfr) // self.tfr_pool_stride() + 1
+        return _seq_len(self.n_times, self.time_kernel_tfr, self.pool_tfr,
+                        self.tfr_pool_stride())
+
+    def branches(self) -> dict[str, Branch]:
+        """The enabled branches in fusion order, name -> geometry: the raw EEG,
+        then the TFR with its channel (view 1) or frequency axis (view 2) first."""
+        raw = (self.time_kernel_raw, self.pool_raw, self.raw_pool_stride)
+        tfr = (self.time_kernel_tfr, self.pool_tfr, self.tfr_pool_stride)
+        rows = (("branch1", self.use_branch1, 1, self.n_channels, raw),
+                ("branch2.view1", self.use_branch2_input1, self.n_channels, self.n_freqs, tfr),
+                ("branch2.view2", self.use_branch2_input2, self.n_freqs, self.n_channels, tfr))
+        # a stride is derived only for an enabled branch: its pool may not divide
+        return {name: Branch(cin, spatial, k, pool, stride())
+                for name, on, cin, spatial, (k, pool, stride) in rows if on}
 
     def fused_len(self) -> int:
-        total = 0
-        if self.use_branch1:
-            total += self.seq_len_raw()
-        if self.use_branch2_input1:
-            total += self.seq_len_tfr()
-        if self.use_branch2_input2:
-            total += self.seq_len_tfr()
-        return total
+        return sum(_seq_len(self.n_times, b.time_kernel, b.pool, b.pool_stride)
+                   for b in self.branches().values())
 
     def validate(self) -> None:
         positive = ("n_channels", "n_times", "n_freqs", "n_classes", "branch_channels",
@@ -148,29 +166,14 @@ class ModelConfig:
                 raise DataError(
                     f"embed_dim={self.embed_dim} not divisible by heads={self.encoder_heads}"
                 )
-        if self.use_branch1:
-            if self.time_kernel_raw > self.n_times:
-                raise DataError(
-                    f"time_kernel_raw={self.time_kernel_raw} exceeds n_times={self.n_times}"
-                )
-            t1 = self.n_times - self.time_kernel_raw + 1
-            if self.pool_raw > t1:
-                raise DataError(f"pool_raw={self.pool_raw} exceeds conv output {t1}")
-            if self.seq_len_raw() < 1:
-                raise DataError("branch-1 sequence collapses to zero length")
-        if self.use_branch2_input1 or self.use_branch2_input2:
-            if self.time_kernel_tfr > self.n_times:
-                raise DataError(
-                    f"time_kernel_tfr={self.time_kernel_tfr} exceeds n_times={self.n_times}"
-                )
-            t1 = self.n_times - self.time_kernel_tfr + 1
-            if self.pool_tfr > t1:
-                raise DataError(f"pool_tfr={self.pool_tfr} exceeds conv output {t1}")
-            if self.seq_len_tfr() < 1:
-                raise DataError("branch-2 sequence collapses to zero length")
+        # a pool no longer than the conv output leaves at least one position
+        for name, b in self.branches().items():
+            if b.pool > self.n_times - b.time_kernel + 1:
+                raise DataError(f"{name}: time kernel {b.time_kernel} and pool {b.pool} need "
+                                f"n_times >= {b.time_kernel + b.pool - 1}, got {self.n_times}")
 
 
-def config_from_preset(p, **geometry) -> ModelConfig:
+def config_from_preset(p) -> ModelConfig:
     """Build a ModelConfig from a DatasetPreset plus its model overrides."""
     kwargs = dict(
         n_channels=p.n_channels,
@@ -179,7 +182,6 @@ def config_from_preset(p, **geometry) -> ModelConfig:
         n_classes=p.n_classes,
     )
     kwargs.update(p.model_overrides)
-    kwargs.update(geometry)
     return ModelConfig(**kwargs)
 
 
@@ -206,16 +208,13 @@ class DualTsstModel:
         self.buffers: dict[str, np.ndarray] = {}
 
         c = config
-        if c.use_branch1:
-            self._build_branch("branch1", in_channels=1, spatial=c.n_channels,
-                               time_kernel=c.time_kernel_raw)
-        if c.use_branch2_input1:
-            # channel axis feeds the conv input channels; frequency axis is spatial
-            self._build_branch("branch2.view1", in_channels=c.n_channels,
-                               spatial=c.n_freqs, time_kernel=c.time_kernel_tfr)
-        if c.use_branch2_input2:
-            self._build_branch("branch2.view2", in_channels=c.n_freqs,
-                               spatial=c.n_channels, time_kernel=c.time_kernel_tfr)
+        for name, b in c.branches().items():
+            self._conv_param(f"{name}.tc", c.branch_channels, b.in_channels, 1, b.time_kernel)
+            self._bn_param(f"{name}.bn1", c.branch_channels)
+            self._conv_param(f"{name}.sc", c.branch_channels, 1, b.spatial, 1)  # depthwise
+            self._bn_param(f"{name}.bn2", c.branch_channels)
+            self._conv_param(f"{name}.pwc", c.embed_dim, c.branch_channels, 1, 1)
+            self._param(f"{name}.pwc.bias", np.zeros(c.embed_dim))
         if c.use_transformer:
             self._param("pos_encoding",
                         self._rng.normal(0.0, 0.02, size=(c.fused_len(), c.embed_dim)))
@@ -248,16 +247,6 @@ class DualTsstModel:
         self.buffers[name + ".running_mean"] = np.zeros(channels, dtype=self.dtype)
         self.buffers[name + ".running_var"] = np.ones(channels, dtype=self.dtype)
 
-    def _build_branch(self, prefix: str, in_channels: int, spatial: int, time_kernel: int):
-        c = self.config
-        self._conv_param(f"{prefix}.tc", c.branch_channels, in_channels, 1, time_kernel)
-        self._bn_param(f"{prefix}.bn1", c.branch_channels)
-        # depthwise kernel spanning the full spatial (electrode or frequency) axis
-        self._conv_param(f"{prefix}.sc", c.branch_channels, 1, spatial, 1)
-        self._bn_param(f"{prefix}.bn2", c.branch_channels)
-        self._conv_param(f"{prefix}.pwc", c.embed_dim, c.branch_channels, 1, 1)
-        self._param(f"{prefix}.pwc.bias", np.zeros(c.embed_dim))
-
     def _build_encoder_layer(self, prefix: str):
         d = self.config.embed_dim
         hidden = d * ENCODER_MLP_RATIO
@@ -277,8 +266,27 @@ class DualTsstModel:
         return (self.params[name + ".gamma"], self.params[name + ".beta"],
                 self.buffers[name + ".running_mean"], self.buffers[name + ".running_var"])
 
-    def _branch(self, prefix: str, x, pool: int, stride: int, train: bool):
+    def _checked(self, inputs: dict) -> dict[str, Tensor]:
+        """The inputs among ``inputs`` (name -> array) of enabled branches, as
+        tensors in fusion order, each checked against the branch table and
+        all of one batch size."""
         c = self.config
+        checked = {}
+        for name, branch in c.branches().items():
+            if name not in inputs:
+                continue
+            x = checked[name] = T.as_tensor(inputs[name])  # None reads as shape ()
+            want = (branch.in_channels, branch.spatial, c.n_times)
+            if x.shape[1:] != want:
+                raise DataError(f"{name} input {tuple(x.shape)} is not "
+                                f"(N, {', '.join(map(str, want))})")
+        if len({x.shape[0] for x in checked.values()}) > 1:
+            raise DataError("branch inputs disagree on batch size")
+        return checked
+
+    def _branch(self, prefix: str, x, train: bool):
+        c = self.config
+        branch = c.branches()[prefix]
         h = T.time_conv_bn_depthwise(x, self.params[f"{prefix}.tc.weight"],
                                      *self._bn_state(f"{prefix}.bn1"),
                                      self.params[f"{prefix}.sc.weight"], train,
@@ -286,7 +294,7 @@ class DualTsstModel:
         h = T.batch_norm(h, *self._bn_state(f"{prefix}.bn2"), train,
                          momentum=BN_MOMENTUM, eps=BN_EPS)
         h = T.elu(h)
-        h = T.avg_pool2d(h, pool, stride)
+        h = T.avg_pool2d(h, branch.pool, branch.pool_stride)
         h = T.conv2d(h, self.params[f"{prefix}.pwc.weight"])
         h = h + T.reshape(self.params[f"{prefix}.pwc.bias"], (1, c.embed_dim, 1, 1))
         n, d, _, seq = h.shape
@@ -295,56 +303,24 @@ class DualTsstModel:
 
     def branch1_forward(self, eeg, train: bool = False) -> Tensor:
         """Raw-EEG branch: [N, 1, ch, T] -> [N, L1, D]."""
-        eeg = T.as_tensor(eeg)
-        c = self.config
-        if eeg.shape[1:] != (1, c.n_channels, c.n_times):
-            raise DataError(
-                f"branch-1 input {tuple(eeg.shape)} != (N, 1, {c.n_channels}, {c.n_times})"
-            )
-        return self._branch("branch1", eeg, c.pool_raw, c.raw_pool_stride(), train)
+        return self._branch("branch1", self._checked({"branch1": eeg})["branch1"], train)
 
     def branch2_forward(self, tfr_view1, tfr_view2, train: bool = False):
         """Time-frequency branch on both orientations.
 
         ``tfr_view1`` is [N, ch, F, T]; ``tfr_view2`` must be the same data
-        with channel and frequency axes swapped, [N, F, ch, T].
-        Returns the tuple of enabled outputs, each [N, L2, D].
+        with channel and frequency axes swapped, [N, F, ch, T].  Both are
+        checked before either runs.  Returns the enabled outputs, [N, L2, D].
         """
-        c = self.config
-        v1 = T.as_tensor(tfr_view1) if tfr_view1 is not None else None
-        v2 = T.as_tensor(tfr_view2) if tfr_view2 is not None else None
-        if v1 is not None and v1.shape[1:] != (c.n_channels, c.n_freqs, c.n_times):
-            raise DataError(
-                f"branch-2 view-1 input {tuple(v1.shape)} != (N, {c.n_channels}, "
-                f"{c.n_freqs}, {c.n_times})"
-            )
-        if v2 is not None and v2.shape[1:] != (c.n_freqs, c.n_channels, c.n_times):
-            raise DataError(
-                f"branch-2 view-2 input {tuple(v2.shape)} != (N, {c.n_freqs}, "
-                f"{c.n_channels}, {c.n_times})"
-            )
-        if v1 is not None and v2 is not None and v1.shape[0] != v2.shape[0]:
-            raise DataError("branch-2 views disagree on batch size")
-        outs = []
-        if c.use_branch2_input1:
-            if v1 is None:
-                raise DataError("branch-2 view 1 enabled but no input given")
-            outs.append(self._branch("branch2.view1", v1, c.pool_tfr,
-                                     c.tfr_pool_stride(), train))
-        if c.use_branch2_input2:
-            if v2 is None:
-                raise DataError("branch-2 view 2 enabled but no input given")
-            outs.append(self._branch("branch2.view2", v2, c.pool_tfr,
-                                     c.tfr_pool_stride(), train))
-        return tuple(outs)
+        views = self._checked({"branch2.view1": tfr_view1, "branch2.view2": tfr_view2})
+        return tuple(self._branch(name, x, train) for name, x in views.items())
 
     def fuse(self, branch_outputs) -> Tensor:
         """Concatenate branch sequences along the sequence axis, in the fixed
         order (branch 1, branch-2 view 1, branch-2 view 2)."""
-        outputs = [b for b in branch_outputs if b is not None]
-        if not outputs:
+        if not branch_outputs:
             raise DataError("no branch outputs to fuse")
-        return T.concat(outputs, axis=-2)
+        return T.concat(branch_outputs, axis=-2)
 
     def encoder_forward(self, fused, attention_maps: list | None = None) -> Tensor:
         """Add the positional encoding, then run the post-norm encoder stack.
@@ -405,34 +381,32 @@ class DualTsstModel:
         h = T.elu(h)
         return T.linear(h, self.params["classifier.fc2.weight"], self.params["classifier.fc2.bias"])
 
+    def _batch(self, batch, kind: str, layout: str, ndim: int) -> np.ndarray:
+        """An EEG or TFR batch in the model's dtype, checked to be ``layout``;
+        a missing one reads as shape ()."""
+        arr = np.asarray(batch, dtype=self.dtype)
+        if arr.ndim != ndim:
+            raise DataError(f"{kind} batch must be {layout}, got {arr.shape}")
+        return arr
+
     def _encode(self, eeg, tfr, train: bool) -> Tensor:
         """Fused (and, unless ablated, encoded) feature sequence [N, L, D]."""
-        c = self.config
-        use_tfr = c.use_branch2_input1 or c.use_branch2_input2
-        if c.use_branch1:
-            if eeg is None:
-                raise DataError("branch 1 enabled but no EEG input given")
-            x = np.asarray(eeg, dtype=self.dtype)
-            if x.ndim != 3:
-                raise DataError(f"EEG batch must be [N, ch, T], got {x.shape}")
-        if use_tfr:
-            if tfr is None:
-                raise DataError("branch 2 enabled but no TFR input given")
-            t = np.asarray(tfr, dtype=self.dtype)
-            if t.ndim != 4:
-                raise DataError(f"TFR batch must be [N, ch, F, T], got {t.shape}")
-            if c.use_branch1 and len(t) != len(x):
-                raise DataError(f"EEG batch of {len(x)} trials but TFR batch of {len(t)}")
-        outs = []
-        if c.use_branch1:
-            outs.append(self.branch1_forward(x[:, None, :, :], train=train))
-        if use_tfr:
-            v1 = t if c.use_branch2_input1 else None
-            # a transposed view, not a copy: the time convs read it one trial at a time
-            v2 = t.transpose(0, 2, 1, 3) if c.use_branch2_input2 else None
-            outs.extend(self.branch2_forward(v1, v2, train=train))
+        names = self.config.branches()
+        x = self._batch(eeg, "EEG", "[N, ch, T]", 3) if "branch1" in names else None
+        t = self._batch(tfr, "TFR", "[N, ch, F, T]", 4) if names.keys() - {"branch1"} else None
+        if x is not None and t is not None and len(t) != len(x):
+            raise DataError(f"EEG batch of {len(x)} trials but TFR batch of {len(t)}")
+        # every input is checked before any branch runs; view 2 is a transposed
+        # view, not a copy: the time convs read it one trial at a time
+        inputs = self._checked({"branch1": None if x is None else x[:, None, :, :],
+                                "branch2.view1": t,
+                                "branch2.view2": None if t is None else t.transpose(0, 2, 1, 3)})
+        outs = [] if x is None else [self.branch1_forward(inputs["branch1"], train=train)]
+        if t is not None:
+            outs.extend(self.branch2_forward(inputs.get("branch2.view1"),
+                                             inputs.get("branch2.view2"), train=train))
         fused = self.fuse(outs)
-        if c.use_transformer:
+        if self.config.use_transformer:
             fused = self.encoder_forward(fused)
         return fused
 

@@ -45,8 +45,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.lr_min < self.lr_max:
-            raise DataError(f"need 0 <= lr_min < lr_max, got [{self.lr_min}, {self.lr_max}]")
+        if not 0.0 <= self.lr_min < self.lr_max < math.inf:
+            raise DataError(f"need 0 <= lr_min < lr_max < inf, got [{self.lr_min}, {self.lr_max}]")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise DataError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise DataError("Adam betas must lie in (0, 1)")
         if self.cycle_epochs < 1:
@@ -170,8 +172,7 @@ def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
     cfg.validate()
     if len(train_set) == 0:
         raise DataError("empty training set")
-    needs_tfr = (model.config.use_branch2_input1 or model.config.use_branch2_input2)
-    if needs_tfr and train_set.tfr is None:
+    if model.config.branches().keys() - {"branch1"} and train_set.tfr is None:
         raise DataError("model uses the time-frequency branch but the dataset has no TFR")
     if cfg.augment_segments > train_set.n_times:
         raise DataError(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
@@ -254,6 +255,21 @@ def test_train_kernel_or_pool_below_minimum_exits_2(tmp_path, mini_data, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{field} must be >= " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("weight_decay", -5.0), ("lr_max", math.inf), ("weight_decay", math.nan),
+])
+def test_train_bad_optimiser_value_exits_2(tmp_path, mini_data, capsys, field, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"train": {field: value}}))  # inf and nan as Infinity and NaN
+    out = tmp_path / "x"
+    assert dispatch(["train", "--data", str(mini_data), "--out", str(out),
+                     "--preset", "mini", "--epochs", "1", "--config", str(cfg),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, mini_data, capsys):

@@ -123,6 +123,20 @@ def _export_report_json(tmp_path, version):
     return _export_report(tmp_path, version)[1]
 
 
+def _eval_features(tmp_path, version):
+    if not (tmp_path / "data").exists():
+        make_dataset(tmp_path / "data")
+    model = tmp_path / f"model{version}.dtss"
+    DualTsstModel(config_from_preset(dataio.preset("mini")),
+                  rng=np.random.default_rng(version)).save(model)
+    features = tmp_path / "features" / "features.eegt"
+    args = cli.build_parser().parse_args([
+        "eval", "--model", str(model), "--data", str(tmp_path / "data"),
+        "--out", str(tmp_path / "eval"), "--preset", "mini", "--features", str(features)])
+    args.func(args)
+    return features
+
+
 class DiskFullAfter10Bytes:
     """A file object that writes 10 bytes, then raises as a full disk would."""
 
@@ -144,7 +158,8 @@ class DiskFullAfter10Bytes:
 
 
 @pytest.mark.parametrize("write", [_save_manifest, _write_log_csv, _write_resolved, _save_model,
-                                   _export_confusion_csv, _export_report_json])
+                                   _export_confusion_csv, _export_report_json,
+                                   _eval_features])
 def test_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch, write):
     target = write(tmp_path, 0)
     before = target.read_bytes()

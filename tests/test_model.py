@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -82,6 +83,26 @@ def test_eeg_and_tfr_batches_of_different_sizes_are_a_data_error(rng, monkeypatc
     with pytest.raises(DataError, match="^EEG batch of 3 trials but TFR batch of 4$"):
         model.forward(eeg, tfr, train=train)
     assert ran == []
+
+
+@pytest.mark.parametrize("bad", ["tfr-extra-freq", "tfr-extra-sample", "view2-only",
+                                 "views-batch-sizes"])
+def test_a_rejected_train_batch_changes_no_running_statistic(rng, bad):
+    model = mini_model()
+    cfg = model.config
+    eeg, tfr = mini_inputs(rng, n=3)
+    before = {name: buf.copy() for name, buf in model.buffers.items()}
+    with pytest.raises(DataError):
+        if bad == "tfr-extra-freq":
+            model.forward(eeg, np.concatenate([tfr, tfr[:, :, :1]], axis=2), train=True)
+        elif bad == "tfr-extra-sample":
+            model.forward(eeg, np.concatenate([tfr, tfr[..., :1]], axis=3), train=True)
+        elif bad == "view2-only":
+            model.branch2_forward(tfr, np.zeros((3, cfg.n_freqs + 1, cfg.n_channels,
+                                                 cfg.n_times)), train=True)
+        else:
+            model.branch2_forward(tfr, tfr[:2].transpose(0, 2, 1, 3), train=True)
+    assert all(np.array_equal(buf, model.buffers[name]) for name, buf in before.items())
 
 
 def test_config_validation_errors():
@@ -502,6 +523,48 @@ def test_ablation_lengths_full_scale():
     assert only_b1.fused_len() == 71
     one_view = ModelConfig(use_branch1=False, use_branch2_input2=False, **base)
     assert one_view.fused_len() == 26
+
+
+@pytest.mark.parametrize("make_config", [mini_config, rfft_config], ids=["mini", "rfft"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_fused_len_is_the_sum_of_the_branch_output_lengths(rng, make_config, ablation):
+    model = DualTsstModel(make_config(**ablation))
+    eeg, tfr = mini_inputs(rng, cfg=model.config)
+    names = model.config.branches()
+    outs = [model.branch1_forward(eeg[:, None, :, :])] if "branch1" in names else []
+    outs += model.branch2_forward(tfr, tfr.transpose(0, 2, 1, 3))
+    assert len(outs) == len(names)
+    assert model.config.fused_len() == sum(o.shape[1] for o in outs)
+
+
+# sha256 of the "name shape" lines of every parameter, then every buffer, in
+# registry order, as the model built them before the branch table existed.
+# Checkpoints store tensors by these names, in this order, so an equal digest
+# means that the checkpoints of that time still load.
+REGISTRY_SHA256 = {
+    ("mini", "full"): "370b91330762fdd644cc7d19eb258bc91a244e8cbbae913b23a0bbd02ad1f96e",
+    ("mini", "no-branch1"): "6ba3330b04205accbae9f3a51aaae440f0823473cc635fc6041d7c1ab3e715fb",
+    ("mini", "no-view1"): "05f62f47ed095ee2c5492aa22e347adb0112572b083056457fc57425d15f1a4a",
+    ("mini", "no-view2"): "1c2c7755e0ab9b984c5f397fe7a39df968559ccdbedae002284466d7c3c54490",
+    ("bci2a", "full"): "b9a7e059678d84031107caf7930acb79fc6896bc5b3be882b509b9ef83875e71",
+    ("bci2a", "no-branch1"): "4a3431a2658bc76dee52900880f1d952997b5253072d125ec86299b2d4be6c43",
+    ("bci2a", "no-view1"): "7e3a662eeb15710aa8677b49b30a18d03e8a9c649cdf62811fbb3cdbca927c1a",
+    ("bci2a", "no-view2"): "2d1a75b828aa14479f483b7d9608baa938e11069827785f968a223ba22b04e28",
+}
+SINGLE_BRANCH_ABLATIONS = {"full": {}, "no-branch1": {"use_branch1": False},
+                           "no-view1": {"use_branch2_input1": False},
+                           "no-view2": {"use_branch2_input2": False}}
+
+
+@pytest.mark.parametrize("preset,ablation", list(REGISTRY_SHA256))
+def test_parameter_and_buffer_registry_is_unchanged(preset, ablation):
+    cfg = dataclasses.replace(config_from_preset(dataio.preset(preset)),
+                              **SINGLE_BRANCH_ABLATIONS[ablation])
+    model = DualTsstModel(cfg)
+    lines = [f"{n} {p.data.shape}" for n, p in model.params.items()]
+    lines += [f"{n} {b.shape}" for n, b in model.buffers.items()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == REGISTRY_SHA256[preset, ablation], lines
 
 
 def test_fuse_single_position(rng):
