@@ -5,6 +5,9 @@ segment position one donor trial of the target class is drawn uniformly at
 random, and both the EEG samples and the time-frequency samples of that
 exact range are copied from the same donor.  Segment order is preserved,
 so every synthetic trial respects the original temporal sequence.
+
+``segment_reassemble`` is the one sampler: training (``augment_batch``) and
+the ``augment`` command each make one call to it with the labels to build.
 """
 
 from __future__ import annotations
@@ -29,25 +32,30 @@ def segment_bounds(n_times: int, segments: int) -> list:
     return bounds
 
 
-def segment_reassemble(pool: TrialSet, label: int, segments: int,
+def segment_reassemble(pool: TrialSet, labels, segments: int,
                        rng: np.random.Generator):
-    """Build one augmented trial of class ``label``: (eeg [ch, T], tfr [ch, F, T]).
+    """Build one augmented trial per entry of ``labels``:
+    (eeg [n, ch, T], tfr [n, ch, F, T]).
 
     Donors are drawn with replacement, uniformly per segment, from the
-    same-class trials in ``pool``; the two views always share the donor.
+    same-class trials in ``pool``, trial by trial and segment by segment
+    within a trial; the two views always share the donor.
     """
     if pool.tfr is None:
         raise DataError("augmentation needs a TrialSet with TFR sidecars")
-    donors = pool.class_indices(label)
-    if donors.size == 0:
-        raise DataError(f"no trials of class {label} to augment from")
+    donors = {label: pool.class_indices(label) for label in np.unique(labels)}
+    for label, idx in donors.items():
+        if idx.size == 0:
+            raise DataError(f"no trials of class {label} to augment from")
     bounds = segment_bounds(pool.n_times, segments)
-    eeg = np.empty_like(pool.eeg[0])
-    tfr = np.empty_like(pool.tfr[0])
-    for start, stop in bounds:
-        donor = donors[rng.integers(0, donors.size)]
-        eeg[:, start:stop] = pool.eeg[donor, :, start:stop]
-        tfr[:, :, start:stop] = pool.tfr[donor, :, :, start:stop]
+    eeg = np.empty((len(labels),) + pool.eeg.shape[1:], dtype=pool.eeg.dtype)
+    tfr = np.empty((len(labels),) + pool.tfr.shape[1:], dtype=pool.tfr.dtype)
+    for i, label in enumerate(labels):
+        idx = donors[label]
+        for start, stop in bounds:
+            donor = idx[rng.integers(0, idx.size)]
+            eeg[i, :, start:stop] = pool.eeg[donor, :, start:stop]
+            tfr[i, :, :, start:stop] = pool.tfr[donor, :, :, start:stop]
     return eeg, tfr
 
 
@@ -57,18 +65,7 @@ def augment_batch(batch: TrialSet, segments: int, rng: np.random.Generator):
 
     Returns (eeg [n, ch, T], tfr [n, ch, F, T], labels [n]).
     """
-    if batch.tfr is None:
-        raise DataError("augmentation needs a TrialSet with TFR sidecars")
-    count = len(batch)
     present = np.unique(batch.labels)
-    base, extra = divmod(count, present.size)
-    eeg = np.empty_like(batch.eeg)
-    tfr = np.empty_like(batch.tfr)
-    labels = np.empty(count, dtype=np.int64)
-    i = 0
-    for j, label in enumerate(present):
-        for _ in range(base + (1 if j < extra else 0)):
-            eeg[i], tfr[i] = segment_reassemble(batch, int(label), segments, rng)
-            labels[i] = label
-            i += 1
-    return eeg, tfr, labels
+    base, extra = divmod(len(batch), present.size)
+    labels = np.repeat(present, [base + (j < extra) for j in range(present.size)])
+    return (*segment_reassemble(batch, labels, segments, rng), labels)

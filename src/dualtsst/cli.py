@@ -176,10 +176,7 @@ def _cmd_augment(args) -> int:
     rng = np.random.default_rng(args.seed)
     classes = sorted(int(c) for c in np.unique(pool.labels))
     labels = [classes[i % len(classes)] for i in range(args.count)]
-    eeg = np.empty((args.count,) + pool.eeg.shape[1:])
-    tfr = np.empty((args.count,) + pool.tfr.shape[1:])
-    for i, label in enumerate(labels):
-        eeg[i], tfr[i] = aug.segment_reassemble(pool, label, args.r, rng)
+    eeg, tfr = aug.segment_reassemble(pool, labels, args.r, rng)
     out_set = dataio.TrialSet(eeg=eeg, labels=np.asarray(labels), fs=pool.fs, tfr=tfr,
                               freqs=pool.freqs, class_names=manifest.class_names)
     dataio.write_dataset(args.out, out_set, name=manifest.name + "-augmented")
@@ -259,14 +256,7 @@ def _cmd_train(args) -> int:
     p = dataio.preset(preset_name) if preset_name else None
 
     plan = _split_plan_from_args(args, p, file_cfg)
-    train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True)
-
-    model_kwargs = dict(
-        n_channels=train_set.n_channels,
-        n_times=train_set.n_times,
-        n_freqs=train_set.n_freqs,
-        n_classes=len(train_set.class_names),
-    )
+    model_kwargs: dict = {}
     train_kwargs: dict = {}
     if p is not None:
         model_kwargs.update(p.model_overrides)
@@ -281,10 +271,20 @@ def _cmd_train(args) -> int:
         seed = file_cfg.get("seed", train_kwargs.get("seed", 0))
     train_kwargs["seed"] = seed
     _apply_ablation(args, model_kwargs, train_kwargs)
-
-    model_cfg = ModelConfig(**model_kwargs)
+    # everything that needs no data is checked before the dataset is read
     train_cfg = training.TrainConfig(**train_kwargs)
     train_cfg.validate()
+    plan.validate()
+
+    train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True)
+    # the data's geometry, unless a preset or the config file sets it
+    model_cfg = ModelConfig(**{
+        "n_channels": train_set.n_channels,
+        "n_times": train_set.n_times,
+        "n_freqs": train_set.n_freqs,
+        "n_classes": len(train_set.class_names),
+        **model_kwargs,
+    })
 
     model = DualTsstModel(model_cfg, rng=training.init_rng_for_seed(seed),
                           dtype=np.dtype(train_cfg.dtype))

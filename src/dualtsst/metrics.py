@@ -15,7 +15,6 @@ zero the test is undefined and reported as such.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,21 +177,6 @@ class EvalReport:
     config: dict | None = None
     extra: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        if not isinstance(other, EvalReport):
-            return NotImplemented
-        return (
-            self.accuracy == other.accuracy
-            and self.kappa == other.kappa
-            and self.per_class_recall == other.per_class_recall
-            and np.array_equal(self.confusion, other.confusion)
-            and self.n == other.n
-            and self.class_names == other.class_names
-            and self.p_values == other.p_values
-            and self.config == other.config
-            and self.extra == other.extra
-        )
-
 
 def evaluate_predictions(y_true, y_pred, class_names, config=None) -> EvalReport:
     cm = confusion_matrix(y_true, y_pred, len(class_names))
@@ -230,28 +214,6 @@ def export_report(report: EvalReport, out_dir) -> tuple:
     with atomic_open(json_path) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path
-
-
-def load_report(out_dir) -> EvalReport:
-    out_dir = Path(out_dir)
-    payload = json.loads((out_dir / "report.json").read_text())
-    with open(out_dir / "confusion.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    confusion = np.array([[int(v) for v in row] for row in rows[1:]], dtype=np.int64)
-    known = {"accuracy", "kappa", "per_class_recall", "n", "class_names",
-             "p_values", "config"}
-    extra = {k: v for k, v in payload.items() if k not in known}
-    return EvalReport(
-        accuracy=payload["accuracy"],
-        kappa=payload["kappa"],
-        per_class_recall=payload["per_class_recall"],
-        confusion=confusion,
-        n=payload["n"],
-        class_names=payload["class_names"],
-        p_values=payload["p_values"],
-        config=payload["config"],
-        extra=extra,
-    )
 
 
 def subject_summary(groups: dict, n_classes: int) -> dict:

@@ -124,14 +124,6 @@ class ModelConfig:
             raise DataError(f"pool_tfr={self.pool_tfr} not divisible by 2; set pool_tfr_stride")
         return self.pool_tfr // 2
 
-    def seq_len_raw(self) -> int:
-        return _seq_len(self.n_times, self.time_kernel_raw, self.pool_raw,
-                        self.raw_pool_stride())
-
-    def seq_len_tfr(self) -> int:
-        return _seq_len(self.n_times, self.time_kernel_tfr, self.pool_tfr,
-                        self.tfr_pool_stride())
-
     def branches(self) -> dict[str, Branch]:
         """The enabled branches in fusion order, name -> geometry: the raw EEG,
         then the TFR with its channel (view 1) or frequency axis (view 2) first."""
@@ -451,11 +443,13 @@ class DualTsstModel:
                 fh.write(pack_record(arr, _PAYLOAD_DTYPES[code]))
 
     @classmethod
-    def load(cls, path, dtype=np.float64) -> "DualTsstModel":
-        """Read a version 1 (all float32) or version 2 checkpoint and cast every
-        tensor to ``dtype``.  A truncated or garbled file, one made for
-        another configuration, or one whose config sets a retired option to
-        anything but its one value (``RETIRED_MODEL_KEYS``) raises DataError."""
+    def load(cls, path) -> "DualTsstModel":
+        """Read a version 1 (all float32) or version 2 checkpoint.  A version 2
+        model comes back in the dtype its tensors are stored in, a version 1
+        model as float64.  A truncated or garbled file, one whose tensors mix
+        dtype codes, one made for another configuration, or one whose config
+        sets a retired option to anything but its one value
+        (``RETIRED_MODEL_KEYS``) raises DataError."""
         path = Path(path)
         rd = ByteCursor(path.read_bytes(), path)
         magic = rd.take(4, "magic")
@@ -470,11 +464,12 @@ class DualTsstModel:
             if not isinstance(raw, dict):
                 raise DataError(f"{path}: model config is not a JSON object")
             cfg = ModelConfig(**drop_retired(raw, RETIRED_MODEL_KEYS, f"{path}: "))
-            model = cls(cfg, rng=np.random.default_rng(0), dtype=dtype)
+            # float64 until every tensor, and so the stored dtype, has been read
+            model = cls(cfg, rng=np.random.default_rng(0))
         except (ValueError, TypeError) as exc:
             raise DataError(f"{path}: bad model config ({exc})") from exc
         (n_entries,) = rd.unpack("<I", "tensor count")
-        seen = set()
+        arrays, codes = {}, set()
         for _ in range(n_entries):
             (name_len,) = rd.unpack("<I", "tensor name length")
             try:
@@ -490,18 +485,22 @@ class DualTsstModel:
                 target = model.buffers[name]
             else:
                 raise DataError(f"{path}: unknown tensor {name!r} for this configuration")
-            if name in seen:
+            if name in arrays:
                 raise DataError(f"{path}: tensor {name!r} stored twice")
-            arr = rd.record(_PAYLOAD_DTYPES[code], name)
+            arr = arrays[name] = rd.record(_PAYLOAD_DTYPES[code], name)
             if target.shape != arr.shape:
                 raise DataError(f"{path}: {name} has shape {arr.shape}, expected {target.shape}")
-            if name in model.params:
-                model.params[name].data = arr.astype(dtype)
-            else:
-                target[...] = arr
-            seen.add(name)
+            codes.add(code)
         rd.finish()
-        missing = (set(model.params) | set(model.buffers)) - seen
+        missing = (set(model.params) | set(model.buffers)) - set(arrays)
         if missing:
             raise DataError(f"{path}: checkpoint is missing tensors: {sorted(missing)}")
+        if len(codes) > 1:
+            raise DataError(f"{path}: tensors mix dtype codes {sorted(codes)}")
+        model.dtype = _PAYLOAD_DTYPES[codes.pop()] if version == 2 else np.dtype(np.float64)
+        for name, arr in arrays.items():
+            if name in model.params:
+                model.params[name].data = arr.astype(model.dtype)
+            else:
+                model.buffers[name] = arr.astype(model.dtype)
         return model

@@ -106,22 +106,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None):
         return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def backward(self):
         backward(self)

@@ -82,12 +82,11 @@ def init_rng_for_seed(seed: int) -> np.random.Generator:
 
 @dataclass
 class TrainState:
-    """Adam moments plus schedule position."""
+    """Adam moments plus step count."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    epoch: int = 0
 
 
 def adam_step(params: dict, state: TrainState, lr: float, cfg: TrainConfig) -> None:
@@ -153,11 +152,6 @@ def evaluate(model: DualTsstModel, ts: TrialSet, batch_size: int = 64) -> np.nda
     return np.concatenate(preds)
 
 
-def accuracy_of(model: DualTsstModel, ts: TrialSet, batch_size: int = 64) -> float:
-    preds = evaluate(model, ts, batch_size)
-    return float(np.mean(preds == ts.labels))
-
-
 def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
                test_set: TrialSet | None = None, out_dir=None,
                progress=None) -> TrainResult:
@@ -192,7 +186,6 @@ def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
 
     for ep in range(cfg.epochs):
-        state.epoch = ep
         lr = cosine_lr(ep % cfg.cycle_epochs, cfg.lr_max, cfg.lr_min, cfg.cycle_epochs)
         order = shuffle_rng.permutation(len(train_set))
         loss_sum, loss_n = 0.0, 0
@@ -223,7 +216,8 @@ def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
 
         test_acc = None
         if test_set is not None and len(test_set):
-            test_acc = accuracy_of(model, test_set, cfg.batch_size)
+            test_acc = float(np.mean(evaluate(model, test_set, cfg.batch_size)
+                                     == test_set.labels))
             if best_acc is None or test_acc > best_acc:
                 best_acc, best_epoch = test_acc, ep
                 if out_dir is not None:

@@ -260,7 +260,10 @@ def test_train_kernel_or_pool_below_minimum_exits_2(tmp_path, mini_data, capsys,
 @pytest.mark.parametrize("field,value", [
     ("weight_decay", -5.0), ("lr_max", math.inf), ("weight_decay", math.nan),
 ])
-def test_train_bad_optimiser_value_exits_2(tmp_path, mini_data, capsys, field, value):
+def test_train_bad_optimiser_value_exits_2(tmp_path, mini_data, capsys, monkeypatch,
+                                           field, value):
+    loads = []  # the train settings are checked before the dataset is read
+    monkeypatch.setattr(dataio, "load_dataset", lambda *a, **kw: loads.append(a))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"train": {field: value}}))  # inf and nan as Infinity and NaN
     out = tmp_path / "x"
@@ -269,6 +272,7 @@ def test_train_bad_optimiser_value_exits_2(tmp_path, mini_data, capsys, field, v
                      "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and field in err
+    assert loads == []
     assert not (out / "resolved_config.json").exists()
 
 

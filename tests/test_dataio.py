@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -555,6 +556,8 @@ def test_mini_preset_geometry():
     from dualtsst.model import config_from_preset
 
     cfg = config_from_preset(dataio.preset("mini"))
-    assert cfg.seq_len_raw() == 11
-    assert cfg.seq_len_tfr() == 13
+    raw_only = dataclasses.replace(cfg, use_branch2_input1=False, use_branch2_input2=False)
+    view1_only = dataclasses.replace(cfg, use_branch1=False, use_branch2_input2=False)
+    assert raw_only.fused_len() == 11
+    assert view1_only.fused_len() == 13
     assert cfg.fused_len() == 37

@@ -194,9 +194,10 @@ def test_export_report_json_and_round_trip(tmp_path):
     assert report.accuracy == 1.0
     metrics.export_report(report, tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["accuracy"] == 1.0
-    back = metrics.load_report(tmp_path)
-    assert back == report
+    assert payload == {"accuracy": 1.0, "kappa": 1.0, "per_class_recall": [1.0, 1.0],
+                       "n": 4, "class_names": ["left", "right"], "p_values": None,
+                       "config": {"embed_dim": 8}}
+    assert (tmp_path / "confusion.csv").read_bytes() == b"pred_left,pred_right\n2,0\n0,2\n"
 
 
 def test_subject_summary():

@@ -34,15 +34,22 @@ def mini_inputs(rng, n=2, cfg=None):
 # ---------------------------------------------------------------------------
 
 
+def branch_lengths(cfg):
+    """Sequence length of each enabled branch: the fused length with it alone on."""
+    alone = {"branch1": "use_branch1", "branch2.view1": "use_branch2_input1",
+             "branch2.view2": "use_branch2_input2"}
+    return {name: dataclasses.replace(cfg, **{flag: flag == alone[name]
+                                              for flag in alone.values()}).fused_len()
+            for name in cfg.branches()}
+
+
 def test_sequence_length_formulas():
     cfg2a = ModelConfig(n_channels=22, n_times=1000, n_freqs=40, n_classes=4)
-    assert cfg2a.seq_len_raw() == 71
-    assert cfg2a.seq_len_tfr() == 26
+    assert branch_lengths(cfg2a) == {"branch1": 71, "branch2.view1": 26, "branch2.view2": 26}
     assert cfg2a.fused_len() == 123
 
     cfg2b = ModelConfig(n_channels=3, n_times=1125, n_freqs=40, n_classes=2)
-    assert cfg2b.seq_len_raw() == 82
-    assert cfg2b.seq_len_tfr() == 30
+    assert branch_lengths(cfg2b) == {"branch1": 82, "branch2.view1": 30, "branch2.view2": 30}
     assert cfg2b.fused_len() == 142
 
 
@@ -664,7 +671,8 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path, rng, dtype):
     model = trained_model(dtype, rng)
     path = tmp_path / "model.dtss"
     model.save(path)
-    back = DualTsstModel.load(path, dtype=dtype)
+    back = DualTsstModel.load(path)
+    assert back.dtype == dtype
     before, after = checkpoint_tensors(model), checkpoint_tensors(back)
     assert before.keys() == after.keys()
     for name, arr in before.items():
@@ -672,19 +680,21 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path, rng, dtype):
         assert after[name].tobytes() == arr.tobytes(), name
 
 
-def checkpoint_blob(model, version, config=None):
+def checkpoint_blob(model, version, config=None, float32=()):
     """A checkpoint built from the documented layout: version 1 stores every
     tensor as float32 with no dtype code; version 2 stores each tensor in the
     model's dtype behind a dtype code (1 float32, 2 float64).  ``config`` is
-    the stored config dict, ``dataclasses.asdict(model.config)`` by default."""
+    the stored config dict, ``dataclasses.asdict(model.config)`` by default;
+    version 2 tensors named in ``float32`` are stored as float32 anyway."""
     cfg = json.dumps(config or dataclasses.asdict(model.config)).encode()
     entries = list(checkpoint_tensors(model).items())
     code, payload = (2, "<f8") if version == 2 and model.dtype == np.float64 else (1, "<f4")
     parts = [b"DTSS", struct.pack("<II", version, len(cfg)), cfg, struct.pack("<I", len(entries))]
     for name, arr in entries:
-        arr = np.ascontiguousarray(arr, dtype=payload)
+        c, p = (1, "<f4") if name in float32 else (code, payload)
+        arr = np.ascontiguousarray(arr, dtype=p)
         parts += [struct.pack("<I", len(name)), name.encode(),
-                  b"" if version == 1 else struct.pack("<B", code),
+                  b"" if version == 1 else struct.pack("<B", c),
                   struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
     return b"".join(parts)
 
@@ -736,6 +746,14 @@ def test_checkpoint_garbled_is_a_data_error(tmp_path, garble):
     mini_model(seed=2).save(path)
     path.write_bytes(garble(path.read_bytes()))
     with pytest.raises(DataError):
+        DualTsstModel.load(path)
+
+
+def test_checkpoint_mixing_dtype_codes_is_a_data_error(tmp_path):
+    model = mini_model(seed=2)
+    path = tmp_path / "mixed.dtss"
+    path.write_bytes(checkpoint_blob(model, 2, float32={"classifier.fc2.bias"}))
+    with pytest.raises(DataError, match=rf"{path}: tensors mix dtype codes \[1, 2\]"):
         DualTsstModel.load(path)
 
 
