@@ -89,6 +89,22 @@ def _parse_classes(text):
     return classes
 
 
+def _first_trial(data, manifest: dataio.DatasetManifest) -> dataio.TrialSet:
+    """The first trial of ``manifest`` and its TFR, to check settings on it first."""
+    return dataio.load_trialset(data, require_tfr=True, manifest=dataclasses.replace(
+        manifest, trials=manifest.trials[:1]))
+
+
+def _check_fits(cfg: ModelConfig, trials: dataio.TrialSet) -> None:
+    """The trials have the geometry and the class count of a ``cfg`` model."""
+    geometry = (trials.n_channels, trials.n_times, trials.n_freqs)
+    expected = (cfg.n_channels, cfg.n_times, cfg.n_freqs)
+    if geometry != expected:
+        raise DataError(f"dataset geometry {geometry} != model geometry {expected}")
+    if len(trials.class_names) != cfg.n_classes:
+        raise DataError(f"dataset has {len(trials.class_names)} classes, model has {cfg.n_classes}")
+
+
 def _split_plan_from_args(args, preset=None, file_cfg=None) -> dataio.SplitPlan:
     """Split precedence: explicit flags > config file section > preset > defaults."""
     section = (file_cfg or {}).get("split") or {}
@@ -168,11 +184,12 @@ def _cmd_augment(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     manifest = dataio.load_manifest(args.data)
+    n_times = _first_trial(args.data, manifest).n_times
+    if not 1 <= args.r <= n_times:
+        raise DataError(f"--r must be in [1, {n_times}] segments for "
+                        f"{n_times}-sample trials, got {args.r}")
     pool = dataio.load_trialset(args.data, require_tfr=True, normalize=False,
                                 manifest=manifest)
-    if not 1 <= args.r <= pool.n_times:
-        raise DataError(f"--r must be in [1, {pool.n_times}] segments for "
-                        f"{pool.n_times}-sample trials, got {args.r}")
     rng = np.random.default_rng(args.seed)
     classes = sorted(int(c) for c in np.unique(pool.labels))
     labels = [classes[i % len(classes)] for i in range(args.count)]
@@ -271,23 +288,25 @@ def _cmd_train(args) -> int:
         seed = file_cfg.get("seed", train_kwargs.get("seed", 0))
     train_kwargs["seed"] = seed
     _apply_ablation(args, model_kwargs, train_kwargs)
-    # everything that needs no data is checked before the dataset is read
+    # what needs no data is checked before any is read, and the model before the rest
     train_cfg = training.TrainConfig(**train_kwargs)
     train_cfg.validate()
     plan.validate()
 
-    train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True)
+    first = _first_trial(args.data, dataio.split_manifest(args.data, plan)[0])
     # the data's geometry, unless a preset or the config file sets it
     model_cfg = ModelConfig(**{
-        "n_channels": train_set.n_channels,
-        "n_times": train_set.n_times,
-        "n_freqs": train_set.n_freqs,
-        "n_classes": len(train_set.class_names),
+        "n_channels": first.n_channels,
+        "n_times": first.n_times,
+        "n_freqs": first.n_freqs,
+        "n_classes": len(first.class_names),
         **model_kwargs,
     })
-
+    _check_fits(model_cfg, first)
     model = DualTsstModel(model_cfg, rng=training.init_rng_for_seed(seed),
                           dtype=np.dtype(train_cfg.dtype))
+
+    train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True)
 
     _write_resolved(args.out, {
         "command": "train",
@@ -318,15 +337,9 @@ def _cmd_eval(args) -> int:
     model = DualTsstModel.load(args.model)
     p = dataio.preset(args.preset) if args.preset else None
     plan = _split_plan_from_args(args, p)
-    test_set = dataio.load_trialset(args.data, require_tfr=True,
-                                    manifest=dataio.split_manifest(args.data, plan)[1])
-    geometry = (test_set.n_channels, test_set.n_times, test_set.n_freqs)
-    expected = (model.config.n_channels, model.config.n_times, model.config.n_freqs)
-    if geometry != expected:
-        raise DataError(f"dataset geometry {geometry} != model geometry {expected}")
-    if len(test_set.class_names) != model.config.n_classes:
-        raise DataError(f"dataset has {len(test_set.class_names)} classes, "
-                        f"model has {model.config.n_classes}")
+    test_manifest = dataio.split_manifest(args.data, plan)[1]
+    _check_fits(model.config, _first_trial(args.data, test_manifest))
+    test_set = dataio.load_trialset(args.data, require_tfr=True, manifest=test_manifest)
 
     preds = training.evaluate(model, test_set)
     report = metrics.evaluate_predictions(

@@ -167,7 +167,6 @@ class TrialSet:
     freqs: np.ndarray | None = None
     class_names: list[str] | None = None
     subjects: list[str] | None = None
-    sessions: list[str] | None = None
 
     def __post_init__(self):
         self.eeg = np.asarray(self.eeg, dtype=np.float64)
@@ -185,8 +184,6 @@ class TrialSet:
                 )
         if self.subjects is None:
             self.subjects = ["s0"] * len(self.labels)
-        if self.sessions is None:
-            self.sessions = ["0"] * len(self.labels)
 
     def __len__(self) -> int:
         return self.eeg.shape[0]
@@ -213,7 +210,6 @@ class TrialSet:
             freqs=self.freqs,
             class_names=self.class_names,
             subjects=[self.subjects[i] for i in idx],
-            sessions=[self.sessions[i] for i in idx],
         )
 
     def class_indices(self, label: int) -> np.ndarray:
@@ -389,13 +385,13 @@ def _tfr_path(dataset_dir: Path, trial_file: str) -> Path:
 
 
 def write_dataset(dataset_dir, trials: TrialSet, name: str = "dataset",
-                  splits=None, channels=None) -> DatasetManifest:
-    """Write a TrialSet (and TFR sidecars, if present) as a dataset directory."""
+                  splits=None) -> DatasetManifest:
+    """Write a TrialSet (and TFR sidecars, if present) as a dataset directory, old
+    manifest removed first: an interrupted rewrite fails to load, never mixes data."""
     dataset_dir = Path(dataset_dir)
     n, ch, _ = trials.eeg.shape
-    if channels is None:
-        channels = [f"ch{i}" for i in range(ch)]
     class_names = trials.class_names or [str(c) for c in range(int(trials.labels.max()) + 1)]
+    (dataset_dir / "manifest.json").unlink(missing_ok=True)
     entries = []
     for i in range(n):
         rel = f"trials/trial_{i:04d}.eegt"
@@ -407,14 +403,13 @@ def write_dataset(dataset_dir, trials: TrialSet, name: str = "dataset",
                 file=rel,
                 label=int(trials.labels[i]),
                 subject=trials.subjects[i],
-                session=trials.sessions[i],
                 split=None if splits is None else splits[i],
             )
         )
     manifest = DatasetManifest(
         name=name,
         fs=float(trials.fs),
-        channels=list(channels),
+        channels=[f"ch{i}" for i in range(ch)],
         n_classes=len(class_names),
         class_names=list(class_names),
         trials=entries,
@@ -539,7 +534,6 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
         freqs=None if manifest.tfr is None else np.asarray(manifest.tfr["freqs"]),
         class_names=manifest.class_names,
         subjects=[t.subject for t in manifest.trials],
-        sessions=[t.session for t in manifest.trials],
     )
 
 
@@ -646,8 +640,8 @@ class DatasetPreset:
     def freqs(self) -> np.ndarray:
         return np.arange(self.freq_lo, self.freq_hi + 1e-9, self.freq_step)
 
-    def split_plan(self, fold: int = 0, seed: int = 0) -> SplitPlan:
-        return SplitPlan(mode=self.split_mode, k=self.kfold_k, fold=fold, seed=seed)
+    def split_plan(self) -> SplitPlan:
+        return SplitPlan(mode=self.split_mode, k=self.kfold_k)
 
 
 _PRESETS = {

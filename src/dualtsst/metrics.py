@@ -173,7 +173,6 @@ class EvalReport:
     confusion: np.ndarray
     n: int
     class_names: list
-    p_values: dict | None = None
     config: dict | None = None
     extra: dict = field(default_factory=dict)
 
@@ -207,7 +206,6 @@ def export_report(report: EvalReport, out_dir) -> tuple:
         "per_class_recall": report.per_class_recall,
         "n": report.n,
         "class_names": report.class_names,
-        "p_values": report.p_values,
         "config": report.config,
     }
     payload.update(report.extra)

@@ -52,9 +52,6 @@ CHECKPOINT_MAGIC = b"DTSS"
 CHECKPOINT_VERSION = 2
 # payload dtype per tensor, by the code that version 2 stores; version 1 is all float32
 _PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
-BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
-LN_EPS = 1e-5
 ENCODER_MLP_RATIO = 2
 
 # options that were removed, with the one value every run used; checkpoints
@@ -281,10 +278,8 @@ class DualTsstModel:
         branch = c.branches()[prefix]
         h = T.time_conv_bn_depthwise(x, self.params[f"{prefix}.tc.weight"],
                                      *self._bn_state(f"{prefix}.bn1"),
-                                     self.params[f"{prefix}.sc.weight"], train,
-                                     momentum=BN_MOMENTUM, eps=BN_EPS)
-        h = T.batch_norm(h, *self._bn_state(f"{prefix}.bn2"), train,
-                         momentum=BN_MOMENTUM, eps=BN_EPS)
+                                     self.params[f"{prefix}.sc.weight"], train)
+        h = T.batch_norm(h, *self._bn_state(f"{prefix}.bn2"), train)
         h = T.elu(h)
         h = T.avg_pool2d(h, branch.pool, branch.pool_stride)
         h = T.conv2d(h, self.params[f"{prefix}.pwc.weight"])
@@ -337,12 +332,12 @@ class DualTsstModel:
     def _encoder_layer(self, prefix: str, x, attention_maps: list | None = None):
         a = self._mha(prefix, x, attention_maps)
         x = T.layer_norm(x + a, self.params[f"{prefix}.ln1.gamma"],
-                         self.params[f"{prefix}.ln1.beta"], eps=LN_EPS)
+                         self.params[f"{prefix}.ln1.beta"])
         m = T.linear(x, self.params[f"{prefix}.mlp1.weight"], self.params[f"{prefix}.mlp1.bias"])
         m = T.elu(m)
         m = T.linear(m, self.params[f"{prefix}.mlp2.weight"], self.params[f"{prefix}.mlp2.bias"])
         return T.layer_norm(x + m, self.params[f"{prefix}.ln2.gamma"],
-                            self.params[f"{prefix}.ln2.beta"], eps=LN_EPS)
+                            self.params[f"{prefix}.ln2.beta"])
 
     def _mha(self, prefix: str, x, attention_maps: list | None = None):
         c = self.config

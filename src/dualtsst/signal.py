@@ -43,8 +43,6 @@ class MorletPlan:
 
     freqs: np.ndarray
     fs: float
-    n_cycles: np.ndarray = field(init=False)
-    sigma_t: np.ndarray = field(init=False)
     taps: np.ndarray = field(init=False)
     _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -62,13 +60,12 @@ class MorletPlan:
         if aliased.size:
             raise DataError(f"analysis frequencies must be below fs/2 = {self.fs / 2:g} Hz, "
                             f"got {', '.join(f'{f:g}' for f in aliased)} Hz")
-        self.n_cycles = self.freqs / 2.0
-        self.sigma_t = self.n_cycles / (2.0 * np.pi * self.freqs)
+        sigma_t = self.freqs / 2.0 / (2.0 * np.pi * self.freqs)  # n_cycles = freq / 2
         # the support is +-5 sigma_t with the rule's sigma_t = 1/(4 pi); the
         # per-frequency sigma_t above differ from it only in the last ulp
         half = int(math.floor(5.0 * self.fs / (4.0 * math.pi)))
         t = np.arange(-half, half + 1) / self.fs
-        self.taps = np.stack([self._make_taps(f, s, t) for f, s in zip(self.freqs, self.sigma_t)])
+        self.taps = np.stack([self._make_taps(f, s, t) for f, s in zip(self.freqs, sigma_t)])
 
     @staticmethod
     def _make_taps(freq: float, sigma_t: float, t: np.ndarray) -> np.ndarray:

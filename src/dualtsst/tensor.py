@@ -23,6 +23,11 @@ from . import kernels
 _node_ids = itertools.count()
 _state = threading.local()
 
+# batch-norm running-statistics momentum; batch- and layer-norm variance epsilons
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+LN_EPS = 1e-5
+
 
 def is_grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
@@ -316,33 +321,26 @@ def matmul(a, b) -> Tensor:
     return _track(out, (a, b), vjp)
 
 
-def linear(x, weight, bias=None) -> Tensor:
+def linear(x, weight, bias) -> Tensor:
     """Affine map over the last axis: ``x @ weight + bias``.
 
     ``x`` has shape [..., Din], ``weight`` [Din, Dout], ``bias`` [Dout].
     """
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     din, dout = weight.data.shape
     if x.data.shape[-1] != din:
         raise ValueError(f"linear: input last axis {x.data.shape[-1]} != weight Din {din}")
-    out = x.data @ weight.data
-    parents = [x, weight]
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (dout,):
-            raise ValueError(f"linear: bias shape {bias.data.shape} != ({dout},)")
-        out = out + bias.data
-        parents.append(bias)
+    if bias.data.shape != (dout,):
+        raise ValueError(f"linear: bias shape {bias.data.shape} != ({dout},)")
+    out = x.data @ weight.data + bias.data
 
     def vjp(g):
         g2 = g.reshape(-1, dout)
         x2 = x.data.reshape(-1, din)
-        pairs = [(x, (g2 @ weight.data.T).reshape(x.data.shape)), (weight, x2.T @ g2)]
-        if bias is not None:
-            pairs.append((bias, g2.sum(axis=0)))
-        return pairs
+        return ((x, (g2 @ weight.data.T).reshape(x.data.shape)), (weight, x2.T @ g2),
+                (bias, g2.sum(axis=0)))
 
-    return _track(out, tuple(parents), vjp)
+    return _track(out, (x, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +406,12 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _track(out, (x,), vjp)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalise the last axis to zero mean/unit variance, then scale+shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * inv
     out = xhat * gamma.data + beta.data
 
@@ -430,7 +428,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _track(out, (x, gamma, beta), vjp)
 
 
-def _moments(x, running_mean, running_var, train: bool, momentum: float):
+def _moments(x, running_mean, running_var, train: bool):
     """Per-channel mean and variance of [N,C,H,W] over (N,H,W).
 
     Train mode returns the batch statistics and folds them into the running
@@ -444,15 +442,14 @@ def _moments(x, running_mean, running_var, train: bool, momentum: float):
     # centred one trial at a time, so no second array of x's size is held
     centred = (xb - mu.reshape(c, 1, 1) for xb in x)
     var = sum(np.einsum("chw,chw->c", d, d) for d in centred) / (x.size // c)
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
     return mu, var
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
-               momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+def batch_norm(x, gamma, beta, running_mean, running_var, train: bool) -> Tensor:
     """Per-channel batch normalisation of [N,C,H,W].
 
     Train mode normalises by batch statistics over (N,H,W) per channel and
@@ -466,8 +463,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     m = n * h * w
     axes = (0, 2, 3)
     gshape = (1, c, 1, 1)
-    mu, var = _moments(x.data, running_mean, running_var, train, momentum)
-    inv = 1.0 / np.sqrt(var + eps)
+    mu, var = _moments(x.data, running_mean, running_var, train)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     out = x.data - mu.reshape(gshape)
     out *= inv.reshape(gshape)  # out is xhat here
     out *= gamma.data.reshape(gshape)
@@ -493,7 +490,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
 
 
 def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, depthwise,
-                           train: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                           train: bool) -> Tensor:
     """``conv2d(batch_norm(conv2d(x, kernel), ...), depthwise)``: a branch's stem.
 
     ``kernel`` is a time conv [Cout, Cin, 1, k], ``depthwise`` a full-height
@@ -520,8 +517,8 @@ def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, de
     else:
         h = None
         out = kernels.conv2d_forward(x.data, kernel.data, (1, 1), depthwise=depthwise.data)
-    mu, var = _moments(h, running_mean, running_var, train, momentum)
-    inv = 1.0 / np.sqrt(var + eps)
+    mu, var = _moments(h, running_mean, running_var, train)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
     ksum = depthwise.data.sum(axis=(1, 2, 3))
     gshape = (1, c, 1, 1)

@@ -23,9 +23,11 @@ from .errors import DataError, NumericalError
 from .model import DualTsstModel
 from .tensor import backward, cross_entropy, no_grad
 
+ADAM_BETAS = (0.5, 0.999)
 ADAM_EPS = 1e-8
 # removed options and the one value every run used (see model.drop_retired)
-RETIRED_TRAIN_KEYS = {"decoupled_weight_decay": False}
+RETIRED_TRAIN_KEYS = {"decoupled_weight_decay": False,
+                      "beta1": ADAM_BETAS[0], "beta2": ADAM_BETAS[1]}
 
 
 @dataclass
@@ -35,8 +37,6 @@ class TrainConfig:
     lr_max: float = 1e-4
     lr_min: float = 0.0
     weight_decay: float = 0.0012
-    beta1: float = 0.5
-    beta2: float = 0.999
     epochs: int = 1000
     batch_size: int = 32
     cycle_epochs: int = 32           # cosine cycle length (epochs)
@@ -49,8 +49,6 @@ class TrainConfig:
             raise DataError(f"need 0 <= lr_min < lr_max < inf, got [{self.lr_min}, {self.lr_max}]")
         if not 0.0 <= self.weight_decay < math.inf:
             raise DataError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise DataError("Adam betas must lie in (0, 1)")
         if self.cycle_epochs < 1:
             raise DataError("cycle_epochs must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
@@ -63,8 +61,7 @@ class TrainConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
-def cosine_lr(t_cur: float, lr_max: float, lr_min: float = 0.0,
-              cycle: int = 32) -> float:
+def cosine_lr(t_cur: float, lr_max: float, lr_min: float, cycle: int) -> float:
     """Learning rate at epoch-in-cycle ``t_cur`` (0 gives lr_max, cycle gives lr_min)."""
     if not 0 <= t_cur <= cycle:
         raise DataError(f"t_cur={t_cur} outside [0, {cycle}]")
@@ -96,10 +93,11 @@ def adam_step(params: dict, state: TrainState, lr: float, cfg: TrainConfig) -> N
     the moments update, so the decay is scaled by Adam's step like the rest
     of the gradient; moments update even when lr == 0.
     """
+    beta1, beta2 = ADAM_BETAS
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -113,10 +111,10 @@ def adam_step(params: dict, state: TrainState, lr: float, cfg: TrainConfig) -> N
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
         if lr:
             mhat = m / bc1
             vhat = v / bc2

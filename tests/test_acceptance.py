@@ -188,7 +188,7 @@ def test_criterion_6_schedule_and_optimizer_identities():
     checks.append(abs(train.cosine_lr(32, 1e-4, 0.0, 32) - 0.0))
     checks.append(abs(train.cosine_lr(16, 1e-4, 0.0, 32) - 5e-5))
 
-    cfg = train.TrainConfig(weight_decay=0.0, beta1=0.5, beta2=0.999)
+    cfg = train.TrainConfig(weight_decay=0.0)
     p = Tensor(np.zeros(1), requires_grad=True)
     p.grad = np.ones(1)
     train.adam_step({"w": p}, train.TrainState(), 1e-4, cfg)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,21 @@ def mini_data(tmp_path_factory):
                      "--n", "9", "--noise", "0.4", "--seed", "7"]) == 0
     assert dispatch(["transform", "--data", str(data), "--preset", "mini"]) == 0
     return data
+
+
+@pytest.fixture
+def trials_read(monkeypatch):
+    """The trial count of every ``dataio.load_trialset`` call the test makes."""
+    counts = []
+    load = dataio.load_trialset
+
+    def counted(*args, **kwargs):
+        trials = load(*args, **kwargs)
+        counts.append(len(trials))
+        return trials
+
+    monkeypatch.setattr(dataio, "load_trialset", counted)
+    return counts
 
 
 def train_args(data, out, extra=()):
@@ -104,11 +120,12 @@ def test_sidecar_frequency_axis_must_match_the_manifest(tmp_path, mini_data, cap
 
 
 @pytest.mark.parametrize("r", ["0", "65"])  # the mini trials have 64 samples
-def test_augment_segments_out_of_range_exits_2(tmp_path, mini_data, capsys, r):
+def test_augment_segments_out_of_range_exits_2(tmp_path, mini_data, capsys, trials_read, r):
     out = tmp_path / "aug"
     code = dispatch(["augment", "--data", str(mini_data), "--out", str(out),
                      "--r", r, "--count", "2"])
     assert code == 2
+    assert trials_read == [1]  # checked on the first trial, before the rest is read
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--r must be in [1, 64] segments" in err
     assert f"got {r}" in err
@@ -229,7 +246,7 @@ def test_train_rerun_from_resolved_config_is_bit_identical(tmp_path, mini_data):
     assert (out1 / "model_final.dtss").read_bytes() == (out2 / "model_final.dtss").read_bytes()
 
 
-def test_train_geometry_mismatch_exits_2(tmp_path, mini_data, capsys):
+def test_train_geometry_mismatch_exits_2(tmp_path, mini_data, capsys, trials_read):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": {"n_times": 32}}))
     out = tmp_path / "bad_run"
@@ -239,6 +256,8 @@ def test_train_geometry_mismatch_exits_2(tmp_path, mini_data, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "32" in err and "64" in err  # offending shapes named
+    assert trials_read == [1]
+    assert not (out / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -403,10 +422,12 @@ def test_ablation_flags(tmp_path, mini_data):
     assert resolved["train"]["augment_segments"] == 0
 
 
-def test_all_branches_disabled_exits_2(tmp_path, mini_data):
+def test_all_branches_disabled_exits_2(tmp_path, mini_data, trials_read):
     code = dispatch(train_args(mini_data, tmp_path / "none", extra=[
         "--no-branch1", "--no-b2-input1", "--no-b2-input2"]))
     assert code == 2
+    assert trials_read == [1]
+    assert not (tmp_path / "none" / "resolved_config.json").exists()
 
 
 def test_eval_geometry_mismatch_exits_2(tmp_path, mini_data):
@@ -428,8 +449,8 @@ def mini_checkpoint(path, **overrides):
 
 
 @pytest.mark.parametrize("data_classes,model_classes", [(2, 4), (4, 2)])
-def test_eval_class_count_mismatch_exits_2(tmp_path, mini_data, capsys, data_classes,
-                                           model_classes):
+def test_eval_class_count_mismatch_exits_2(tmp_path, mini_data, capsys, trials_read,
+                                           data_classes, model_classes):
     data = mini_data
     if data_classes != 2:
         data = tmp_path / "data"
@@ -443,7 +464,9 @@ def test_eval_class_count_mismatch_exits_2(tmp_path, mini_data, capsys, data_cla
                      "--preset", "mini"]) == 2
     assert capsys.readouterr().err == (
         f"error: dataset has {data_classes} classes, model has {model_classes}\n")
+    assert trials_read == [1]
     assert not (out / "report.json").exists()
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_eval_reads_only_the_test_split(tmp_path, mini_data, monkeypatch):
@@ -512,6 +535,7 @@ def test_resolved_config_with_retired_keys_replays_bit_identically(tmp_path, min
 @pytest.mark.parametrize("section,key,value", [
     ("model", "dropout", 0.3), ("model", "per_head_scaling", True),
     ("model", "encoder_mlp_ratio", 4), ("train", "decoupled_weight_decay", True),
+    ("train", "beta1", 0.9), ("train", "beta2", 0.99),
 ])
 def test_retired_key_off_its_value_exits_2(tmp_path, mini_data, capsys, section, key, value):
     cfg = tmp_path / "old.json"
@@ -539,3 +563,17 @@ def test_eval_of_a_checkpoint_with_a_retired_key_off_its_value_exits_2(tmp_path,
                      "--out", str(tmp_path / "e"), "--preset", "mini"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "dropout is retired" in err
+
+
+def test_readme_lists_every_retired_key_at_its_value():
+    from dualtsst.model import RETIRED_MODEL_KEYS
+    from dualtsst.train import RETIRED_TRAIN_KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Key | Section | Only value |", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:4]]
+            for line in table.splitlines()[2:]]
+    want = [[key, section, json.dumps(value)]
+            for section, retired in (("model", RETIRED_MODEL_KEYS), ("train", RETIRED_TRAIN_KEYS))
+            for key, value in retired.items()]
+    assert sorted(rows) == sorted(want)

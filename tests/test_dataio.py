@@ -218,6 +218,32 @@ def test_interrupted_transform_leaves_a_dataset_that_asks_for_a_transform(tmp_pa
     assert dataio.load_trialset(tmp_path, require_tfr=True).tfr.shape == (8, 4, 6, 64)
 
 
+def test_interrupted_rewrite_leaves_a_dataset_that_does_not_load(tmp_path, monkeypatch):
+    # a transformed set is rewritten with new trials, and the fourth file fails
+    make_dataset(tmp_path)
+    new = dataio.synth(4, 4, 64, 128.0, MINI_CLASSES, noise=0.1, seed=2)
+    written = []
+    write_array = dataio.write_array
+
+    def fail_fourth(path, arr):
+        written.append(path)
+        if len(written) == 4:
+            raise OSError("disk full")
+        write_array(path, arr)
+
+    monkeypatch.setattr(dataio, "write_array", fail_fourth)
+    with pytest.raises(OSError, match="disk full"):
+        dataio.write_dataset(tmp_path, new, name="unit")
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="no manifest"):
+        dataio.load_trialset(tmp_path, require_tfr=True)
+
+    dataio.write_dataset(tmp_path, new, name="unit")
+    loaded = dataio.load_trialset(tmp_path, normalize=False)
+    assert loaded.tfr is None
+    np.testing.assert_array_equal(loaded.eeg, new.eeg.astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------

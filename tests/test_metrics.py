@@ -195,7 +195,7 @@ def test_export_report_json_and_round_trip(tmp_path):
     metrics.export_report(report, tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload == {"accuracy": 1.0, "kappa": 1.0, "per_class_recall": [1.0, 1.0],
-                       "n": 4, "class_names": ["left", "right"], "p_values": None,
+                       "n": 4, "class_names": ["left", "right"],
                        "config": {"embed_dim": 8}}
     assert (tmp_path / "confusion.csv").read_bytes() == b"pred_left,pred_right\n2,0\n0,2\n"
 

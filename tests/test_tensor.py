@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 from dualtsst import kernels, tensor as T
 from dualtsst.gradcheck import central_difference, max_relative_error
 
-OP_TOL = 1e-4  # per-op gradient tolerance at h=1e-6
+OP_TOL = 1e-4  # per-op gradient tolerance at gradcheck.FD_STEP (1e-6)
 
 
-def fd_check(build_loss, tensors, tol=OP_TOL, h=1e-6):
+def fd_check(build_loss, tensors, tol=OP_TOL):
     for p in tensors:
         p.zero_grad()
     loss = build_loss()
     T.backward(loss)
     for p in tensors:
         assert p.grad is not None
-        numeric = central_difference(build_loss, p, h=h)
+        numeric = central_difference(build_loss, p)
         err = max_relative_error(p.grad, numeric)
         assert err < tol, f"gradient mismatch {err:.3e}"
 
@@ -197,7 +197,7 @@ def test_batch_norm_updates_running_stats(rng):
     x = T.Tensor(rng.normal(loc=5.0, size=(2, 2, 3, 3)))
     gamma, beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
     rm, rv = _bn_state(2)
-    T.batch_norm(x, gamma, beta, rm, rv, train=True, momentum=0.1)
+    T.batch_norm(x, gamma, beta, rm, rv, train=True)
     mu = x.data.mean(axis=(0, 2, 3))
     var = x.data.var(axis=(0, 2, 3))
     np.testing.assert_allclose(rm, 0.1 * mu, rtol=1e-12)
@@ -622,7 +622,7 @@ def test_backward_composed_chain_matches_fd(rng):
     w = leaf(rng, 4, 4)
 
     def build():
-        h = T.elu(T.linear(x, w))
+        h = T.elu(T.linear(x, w, np.zeros(4)))
         s = T.softmax(h, axis=-1)
         return (s * s).sum()
 
@@ -631,7 +631,7 @@ def test_backward_composed_chain_matches_fd(rng):
     loss = build()
     T.backward(loss)
     for p in (x, w):
-        numeric = central_difference(build, p, h=1e-6)
+        numeric = central_difference(build, p)
         assert max_relative_error(p.grad, numeric) < 1e-5
 
 

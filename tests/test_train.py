@@ -97,7 +97,7 @@ def test_adam_zero_gradient_is_noop():
 
 
 def test_adam_first_step_closed_form():
-    cfg = train.TrainConfig(weight_decay=0.0, beta1=0.5, beta2=0.999)
+    cfg = train.TrainConfig(weight_decay=0.0)
     params, p = one_param(0.0)
     p.grad = np.ones(1)
     state = train.TrainState()
