@@ -293,7 +293,8 @@ def _cmd_train(args) -> int:
     train_cfg.validate()
     plan.validate()
 
-    first = _first_trial(args.data, dataio.split_manifest(args.data, plan)[0])
+    manifests = dataio.split_manifest(args.data, plan)
+    first = _first_trial(args.data, manifests[0])
     # the data's geometry, unless a preset or the config file sets it
     model_cfg = ModelConfig(**{
         "n_channels": first.n_channels,
@@ -306,7 +307,8 @@ def _cmd_train(args) -> int:
     model = DualTsstModel(model_cfg, rng=training.init_rng_for_seed(seed),
                           dtype=np.dtype(train_cfg.dtype))
 
-    train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True)
+    train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True,
+                                              manifests=manifests)
 
     _write_resolved(args.out, {
         "command": "train",

@@ -545,11 +545,12 @@ def split_manifest(dataset_dir, plan: SplitPlan) -> tuple:
                  for idx in split_indices(len(manifest.trials), plan, tags=tags))
 
 
-def load_dataset(dataset_dir, plan: SplitPlan, require_tfr: bool = False):
-    """Load a dataset directory split into (train, test) TrialSets.  The split
-    is taken on the manifest and each split read on its own: the whole set
-    is never held."""
-    manifests = split_manifest(dataset_dir, plan)
+def load_dataset(dataset_dir, plan: SplitPlan, require_tfr: bool = False, *,
+                 manifests: tuple | None = None):
+    """Load a dataset directory split into (train, test) TrialSets.  The split is
+    taken on the manifest, or is ``manifests`` if the caller has it from
+    :func:`split_manifest`, and each split is read on its own."""
+    manifests = manifests or split_manifest(dataset_dir, plan)
     train, test = (load_trialset(dataset_dir, require_tfr=require_tfr, manifest=m)
                    for m in manifests)
     if test.eeg.shape[1:] != train.eeg.shape[1:]:

@@ -20,9 +20,8 @@ post-norm transformer encoder plus a GAP/MLP head produce the class logits.
 Inference, ``train=False`` with no graph recorded (under
 ``tensor.no_grad``, as in ``train.evaluate``), needs no time-conv output,
 and the stem op runs as one ``kernels.conv2d_forward`` call that contracts
-the depthwise kernel before the inverse rFFT.  Its logits are
-bit-identical to the graph path's below ``kernels.FFT_MIN_TAPS`` taps
-(the ``mini`` preset) and agree to about 1e-15 relative above.
+the depthwise kernel before the inverse rFFT.  Its logits agree with the
+graph path's to about 1e-15 relative.
 
 Attention scores are scaled by 1/sqrt(embed_dim), the full embedding
 width, not the per-head width.  The scale is applied to the queries
@@ -384,7 +383,7 @@ class DualTsstModel:
         if x is not None and t is not None and len(t) != len(x):
             raise DataError(f"EEG batch of {len(x)} trials but TFR batch of {len(t)}")
         # every input is checked before any branch runs; view 2 is a transposed
-        # view, not a copy: the time convs read it one trial at a time
+        # view, not a copy: the time convs read it a chunk of trials at a time
         inputs = self._checked({"branch1": None if x is None else x[:, None, :, :],
                                 "branch2.view1": t,
                                 "branch2.view2": None if t is None else t.transpose(0, 2, 1, 3)})

@@ -351,8 +351,8 @@ def linear(x, weight, bias) -> Tensor:
 def conv2d(x, kernel) -> Tensor:
     """Valid, stride-1 cross-correlation of ``x`` [N, Cin, H, W] with ``kernel``.
 
-    ``kernel`` has one of the model's two shapes: a time conv
-    [Cout, Cin, 1, k] (k = 1 is the pointwise conv) or a full-height
+    ``kernel`` has one of the model's three shapes: a pointwise conv
+    [Cout, Cin, 1, 1], a time conv [Cout, Cin, 1, k] or a full-height
     depthwise conv [Cin, 1, H, 1].  Any other shape raises ValueError.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
@@ -439,9 +439,13 @@ def _moments(x, running_mean, running_var, train: bool):
         return np.array(running_mean), np.array(running_var)
     c = x.shape[1]
     mu = x.mean(axis=(0, 2, 3))
-    # centred one trial at a time, so no second array of x's size is held
-    centred = (xb - mu.reshape(c, 1, 1) for xb in x)
-    var = sum(np.einsum("chw,chw->c", d, d) for d in centred) / (x.size // c)
+    # centred a chunk at a time, so no second x-sized array is held; the per-trial
+    # squares are summed in trial order, so the bits do not depend on the chunk
+    squares = np.empty((len(x), c), dtype=x.dtype)
+    for s in kernels._chunks(len(x), x[0].nbytes):
+        d = x[s] - mu.reshape(1, c, 1, 1)
+        np.einsum("nchw,nchw->nc", d, d, out=squares[s])
+    var = squares.sum(axis=0) / (x.size // c)
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * mu
     running_var *= 1.0 - BN_MOMENTUM
@@ -500,8 +504,7 @@ def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, de
     ``a * (conv(h) - mu * sum(d)) + beta * sum(d)``.  Batch statistics and
     running buffers behave as in :func:`batch_norm`.  Only the backward
     holds ``h``; in eval mode with no graph recorded nothing needs it, and
-    one ``kernels.conv2d_forward`` call runs both convs (bit-identical below
-    ``kernels.FFT_MIN_TAPS`` taps).
+    one ``kernels.conv2d_forward`` call runs both convs.
     """
     x, kernel, depthwise = as_tensor(x), as_tensor(kernel), as_tensor(depthwise)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -538,11 +541,11 @@ def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, de
         gh = kernels.conv2d_backward_input(g * a.reshape(gshape), depthwise.data, h.shape)
         if train:
             # gh -= a * (mean(g') + hhat * mean(g' * hhat)), g' the normalised
-            # h's gradient, one trial at a time
+            # h's gradient, a chunk of trials at a time
             m = h.size // c
-            mu3, slope = mu.reshape(c, 1, 1), (a * ggamma * inv / m).reshape(c, 1, 1)
-            for ghb, hb in zip(gh, h):
-                ghb -= (hb - mu3) * slope
+            mu4, slope = mu.reshape(gshape), (a * ggamma * inv / m).reshape(gshape)
+            for s in kernels._chunks(len(h), h[0].nbytes):
+                gh[s] -= (h[s] - mu4) * slope
             gh -= (a * gbeta / m).reshape(gshape)
         return ((x, kernels.conv2d_backward_input(gh, kernel.data, x.data.shape)),
                 (kernel, kernels.conv2d_backward_kernel(gh, x.data, kernel.data.shape)),

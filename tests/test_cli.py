@@ -246,6 +246,17 @@ def test_train_rerun_from_resolved_config_is_bit_identical(tmp_path, mini_data):
     assert (out1 / "model_final.dtss").read_bytes() == (out2 / "model_final.dtss").read_bytes()
 
 
+def test_train_parses_the_manifest_once(tmp_path, mini_data, monkeypatch, trials_read):
+    """The split manifests of the first-trial probe are the ones the full
+    load reads; the probe's own read of the first trial stays."""
+    parsed = []
+    parse = dataio.load_manifest
+    monkeypatch.setattr(dataio, "load_manifest", lambda d: parsed.append(d) or parse(d))
+    assert dispatch(train_args(mini_data, tmp_path / "run", ["--epochs", "1"])) == 0
+    assert len(parsed) == 1
+    assert trials_read[0] == 1 and len(trials_read) == 3  # the probe, then train and test
+
+
 def test_train_geometry_mismatch_exits_2(tmp_path, mini_data, capsys, trials_read):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": {"n_times": 32}}))

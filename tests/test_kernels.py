@@ -1,10 +1,11 @@
-"""The model's two convolution shapes and their three paths, against a
+"""The model's three convolution shapes and their paths, against a
 generic direct-summation convolution.
 
 ``conv_oracle.conv2d_*_np`` sum any grouped, strided cross-correlation one
-kernel position at a time.  They are the oracle for the rFFT and tap-loop
-paths of time convs ``[Cout, Cin, 1, k]`` and for the one-contraction path
-of full-height depthwise ``[C, 1, H, 1]`` kernels.
+kernel position at a time.  They are the oracle for the one-einsum path of
+pointwise ``[Cout, Cin, 1, 1]`` kernels, the rFFT path of time convs
+``[Cout, Cin, 1, k >= 2]`` and the one-contraction path of full-height
+depthwise ``[C, 1, H, 1]`` kernels.
 """
 
 import multiprocessing
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtsst import kernels
+from dualtsst import dataio, kernels
 from dualtsst import tensor as T
 from dualtsst.gradcheck import check_gradients
-from dualtsst.model import DualTsstModel, ModelConfig
+from dualtsst.model import DualTsstModel, ModelConfig, config_from_preset
 from dualtsst.tensor import cross_entropy
 
 from conv_oracle import conv2d_backward_input_np, conv2d_backward_kernel_np, conv2d_forward_np
@@ -32,11 +33,20 @@ def max_rel(fast, ref):
     return float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
 
 
-def assert_matches_oracle(rng, n, cin, h, wd, cout, k):
-    assert k >= kernels.FFT_MIN_TAPS
-    x = rng.normal(size=(n, cin, h, wd))
-    w = rng.normal(size=(cout, cin, 1, k))
-    g = rng.normal(size=(n, cout, h, wd - k + 1))
+def random_input(rng, n, cin, h, wd, transposed=False, dtype=np.float64):
+    """An [n, cin, h, wd] input; a ``transposed`` one is a transposed view, as
+    branch 2's view 2 is."""
+    if transposed:
+        return rng.normal(size=(n, h, cin, wd)).astype(dtype).transpose(0, 2, 1, 3)
+    return rng.normal(size=(n, cin, h, wd)).astype(dtype)
+
+
+def assert_matches_oracle(rng, n, cin, h, wd, cout, k, transposed=False, dtype=np.float64,
+                          tol=FFT_TOL):
+    assert k >= 2
+    x = random_input(rng, n, cin, h, wd, transposed, dtype)
+    w = rng.normal(size=(cout, cin, 1, k)).astype(dtype)
+    g = rng.normal(size=(n, cout, h, wd - k + 1)).astype(dtype)
     pairs = {
         "forward": (kernels.conv2d_forward(x, w, ONE), conv2d_forward_np(x, w, ONE, 1)),
         "input gradient": (kernels.conv2d_backward_input(g, w, x.shape),
@@ -45,9 +55,9 @@ def assert_matches_oracle(rng, n, cin, h, wd, cout, k):
                             conv2d_backward_kernel_np(g, x, w.shape, ONE, 1)),
     }
     for name, (fast, ref) in pairs.items():
-        assert fast.shape == ref.shape and fast.dtype == ref.dtype, name
+        assert fast.shape == ref.shape and fast.dtype == ref.dtype == dtype, name
         err = max_rel(fast, ref)
-        assert err <= FFT_TOL, f"{name}: max relative error {err:.3e}"
+        assert err <= tol, f"{name}: max relative error {err:.3e}"
 
 
 @pytest.mark.parametrize("n, cin, h, wd, cout, k", [
@@ -62,10 +72,22 @@ def test_fft_conv_matches_loop_at_paper_shapes(n, cin, h, wd, cout, k):
     assert_matches_oracle(np.random.default_rng(k + wd), n, cin, h, wd, cout, k)
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float64, FFT_TOL), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("n, cin, h, wd, cout, k, transposed", [
+    (8, 1, 4, 64, 3, 7, False),  # mini branch1.tc
+    (8, 4, 6, 64, 3, 9, False),  # mini branch2.view1.tc
+    (8, 6, 4, 64, 3, 9, True),   # mini branch2.view2.tc, a transposed view
+])
+def test_fft_conv_matches_loop_at_mini_shapes(n, cin, h, wd, cout, k, transposed, dtype, tol):
+    assert_matches_oracle(np.random.default_rng(k + wd), n, cin, h, wd, cout, k, transposed,
+                          dtype, tol)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(1, 3), cin=st.integers(1, 4), h=st.integers(1, 4),
-    cout=st.integers(1, 4), k=st.integers(kernels.FFT_MIN_TAPS, 40),
+    cout=st.integers(1, 4), k=st.integers(2, 40),
     extra=st.integers(0, 40), seed=st.integers(0, 2**16),
 )
 def test_fft_conv_matches_loop(n, cin, h, cout, k, extra, seed):
@@ -131,18 +153,16 @@ def assert_rejected(x, w):
             run()
 
 
-def test_only_long_temporal_kernels_take_the_fft_path(computed, rng):
-    """Time convs from FFT_MIN_TAPS taps run by rFFT, shorter ones (the
-    pointwise conv is the 1-tap case) as one einsum per tap; any other
-    shape or stride raises."""
+def test_time_convs_take_the_fft_path_and_pointwise_convs_one_einsum(computed, rng):
+    """Time convs of every length from 2 taps run by rFFT only, pointwise
+    convs as one einsum per pass; any other shape or stride raises."""
     x = rng.normal(size=(2, 4, 3, 40))
-    k = kernels.FFT_MIN_TAPS
-    for taps in (k, 40):
+    k = 16
+    for taps in (2, 7, 9, k, 40):
         taken = passes(computed, x, rng.normal(size=(2, 4, 1, taps)))
         assert all(t and set(t) == {"rfft"} for t in taken), taken
-    for taps in (1, 7, k - 1):
-        assert passes(computed, x, rng.normal(size=(2, 4, 1, taps))) == [
-            ["nchw,oc->nohw"] * taps, ["nohw,oc->nchw"] * taps, ["nchw,nohw->oc"] * taps]
+    assert passes(computed, x, rng.normal(size=(2, 4, 1, 1))) == [
+        ["nchw,oc->nohw"], ["nohw,oc->nchw"], ["nchw,nohw->oc"]]
     for w_shape in [(2, 4, 2, k),   # two rows
                     (2, 4, 3, 5),   # 2-D
                     (2, 3, 1, k),   # a channel short
@@ -155,11 +175,9 @@ def test_only_long_temporal_kernels_take_the_fft_path(computed, rng):
 
 
 def test_gradcheck_through_fft_time_convs():
-    """The mini preset's 7/9-tap time convs never reach the rFFT path, so
-    gradcheck a small model whose time kernels do."""
+    """Gradcheck a small model whose time kernels are longer than mini's."""
     cfg = ModelConfig(n_channels=3, n_times=40, n_freqs=2, n_classes=2,
-                      branch_channels=2, embed_dim=4,
-                      time_kernel_raw=kernels.FFT_MIN_TAPS, time_kernel_tfr=21,
+                      branch_channels=2, embed_dim=4, time_kernel_raw=16, time_kernel_tfr=21,
                       pool_raw=8, pool_raw_stride=4, pool_tfr=8, pool_tfr_stride=4,
                       encoder_layers=1, encoder_heads=2, classifier_hidden=4)
     rng = np.random.default_rng(5)
@@ -173,29 +191,79 @@ def test_gradcheck_through_fft_time_convs():
 
 
 # ---------------------------------------------------------------------------
-# trial-parallel rFFT
+# chunks of trials, two in flight
 # ---------------------------------------------------------------------------
+
+
+def serial(fn, chunks):
+    """``kernels._per_chunk`` with every chunk on the calling thread."""
+    return [fn(s) for s in chunks]
+
+
+@pytest.fixture
+def one_trial_chunks(monkeypatch):
+    """Chunks of one trial each, as at the full-scale presets, so a call on
+    more than one trial runs chunks on the helper thread."""
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1)
+
+
+@pytest.mark.parametrize("preset", ["bci2a", "bci2b", "seed", "mini"])
+def test_full_scale_chunks_are_one_trial_and_a_mini_step_batch_is_one(preset):
+    """At every time conv of a 64-trial batch, forward (input and output
+    channels) and backward (the reverse): one trial per chunk at the
+    full-scale presets, one chunk for mini's 32 + 32 step batch."""
+    cfg = config_from_preset(dataio.preset(preset))
+    n, t, cout = 64, cfg.n_times, cfg.branch_channels
+    want = [slice(0, n)] if preset == "mini" else [slice(b, b + 1) for b in range(n)]
+    for name, b in cfg.branches().items():
+        x = np.broadcast_to(0.0, (n, b.in_channels, b.spatial, t))  # no memory behind it
+        g = np.broadcast_to(0.0, (n, cout, b.spatial, t - b.time_kernel + 1))
+        assert kernels._time_chunks(x, cout, t) == want, name
+        assert kernels._time_chunks(g, b.in_channels, t) == want, name
 
 
 def fft_passes(rng, n):
     x = rng.normal(size=(n, 3, 2, 50))
     w = rng.normal(size=(4, 3, 1, 20))
     g = rng.normal(size=(n, 4, 2, 31))
+    d = rng.normal(size=(4, 1, 2, 1))
     return (kernels.conv2d_forward(x, w, ONE),
             kernels.conv2d_backward_input(g, w, x.shape),
-            kernels.conv2d_backward_kernel(g, x, w.shape))
+            kernels.conv2d_backward_kernel(g, x, w.shape),
+            kernels.conv2d_forward(x, w, ONE, depthwise=d))
+
+
+FFT_PASSES = ("forward", "input gradient", "kernel gradient", "forward with depthwise")
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
-def test_trial_parallel_fft_equals_serial_loop(monkeypatch, n):
+def test_trial_parallel_fft_equals_serial_loop(monkeypatch, one_trial_chunks, n):
     threaded = fft_passes(np.random.default_rng(n), n)
     again = fft_passes(np.random.default_rng(n), n)
-    monkeypatch.setattr(kernels, "_per_trial", lambda fn, n: [fn(b) for b in range(n)])
-    serial = fft_passes(np.random.default_rng(n), n)
-    for name, a, b, c in zip(("forward", "input gradient", "kernel gradient"),
-                             threaded, again, serial):
+    monkeypatch.setattr(kernels, "_per_chunk", serial)
+    looped = fft_passes(np.random.default_rng(n), n)
+    for name, a, b, c in zip(FFT_PASSES, threaded, again, looped):
         assert np.array_equal(a, b), f"{name}: repeated calls differ"
         assert np.array_equal(a, c), f"{name}: threads differ from the serial loop"
+
+
+@pytest.mark.parametrize("trials", [2, 3, 7])
+def test_chunks_in_flight_equal_the_serial_chunk_loop(monkeypatch, trials):
+    """Chunks of several trials, two at a time, give the bits of a serial
+    loop over the same chunks, and one-trial chunks' values to FFT_TOL."""
+    n = 7
+    # F x H x (Cin + Cout) complex128s: one trial's spectra in fft_passes
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", trials * 26 * 2 * (3 + 4) * 16)
+    chunks = kernels._time_chunks(np.empty((n, 3, 2, 50)), 4, 50)
+    assert [s.stop - s.start for s in chunks] == [min(trials, n - b) for b in range(0, n, trials)]
+    threaded = fft_passes(np.random.default_rng(n), n)
+    monkeypatch.setattr(kernels, "_per_chunk", serial)
+    looped = fft_passes(np.random.default_rng(n), n)
+    for name, a, b in zip(FFT_PASSES, threaded, looped):
+        assert np.array_equal(a, b), f"{name}: threads differ from the serial chunk loop"
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1)
+    for name, a, b in zip(FFT_PASSES, threaded, fft_passes(np.random.default_rng(n), n)):
+        assert max_rel(a, b) <= FFT_TOL, f"{name}: chunks of {trials} differ from one-trial chunks"
 
 
 def _fft_passes_of(n):
@@ -203,7 +271,7 @@ def _fft_passes_of(n):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_trial_parallel_fft_runs_in_a_forked_child():
+def test_trial_parallel_fft_runs_in_a_forked_child(one_trial_chunks):
     """A child forked after the parent ran trial-parallel rFFTs runs them too."""
     want = _fft_passes_of(4)
     with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -211,7 +279,7 @@ def test_trial_parallel_fft_runs_in_a_forked_child():
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_no_thread_outlives_an_fft_conv_call():
+def test_no_thread_outlives_an_fft_conv_call(one_trial_chunks):
     before = threading.active_count()
     _fft_passes_of(3)
     assert threading.active_count() == before
@@ -221,15 +289,15 @@ def test_no_thread_outlives_an_fft_conv_call():
 def test_an_error_on_the_helper_thread_reaches_the_caller():
     ran_on = {}
 
-    def trial(b):
-        ran_on[b] = threading.current_thread()
-        if b == 1:
+    def trial(s):
+        ran_on[s.start] = threading.current_thread()
+        if s.start == 1:
             raise ArithmeticError("trial 1 failed")
-        return b
+        return s.start
 
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="trial 1 failed"):
-        list(kernels._per_trial(trial, 4))
+        list(kernels._per_chunk(trial, [slice(b, b + 1) for b in range(4)]))
     assert ran_on[1] is not threading.current_thread()
     assert 2 not in ran_on  # the next group never started
     assert threading.active_count() == before
@@ -329,13 +397,9 @@ def test_gradcheck_through_depthwise_convs():
 
 
 def time_then_depthwise(rng, n, cin, h, wd, k, transposed=False, dtype=np.float64, cout=40):
-    """Input, time kernel and depthwise kernel of one branch; a ``transposed``
-    input is a transposed view, as branch 2's view 2 is."""
-    if transposed:
-        x = rng.normal(size=(n, h, cin, wd)).astype(dtype).transpose(0, 2, 1, 3)
-    else:
-        x = rng.normal(size=(n, cin, h, wd)).astype(dtype)
-    return (x, rng.normal(size=(cout, cin, 1, k)).astype(dtype),
+    """Input, time kernel and depthwise kernel of one branch."""
+    return (random_input(rng, n, cin, h, wd, transposed, dtype),
+            rng.normal(size=(cout, cin, 1, k)).astype(dtype),
             rng.normal(size=(cout, 1, h, 1)).astype(dtype))
 
 
@@ -353,6 +417,9 @@ BRANCH_SHAPES = {  # cin, h, wd, k, transposed
     "seed-branch1": (1, 62, 200, 30, False),
     "seed-view1": (62, 50, 200, 125, False),
     "seed-view2": (50, 62, 200, 125, True),
+    "mini-branch1": (1, 4, 64, 7, False),
+    "mini-view1": (4, 6, 64, 9, False),
+    "mini-view2": (6, 4, 64, 9, True),
 }
 
 
@@ -377,7 +444,6 @@ def branch_case(request):
 def test_time_then_depthwise_matches_the_composed_oracle(branch_case, n):
     x, w, d, want = branch_case
     k = w.shape[3]
-    assert k >= kernels.FFT_MIN_TAPS
     got = kernels.conv2d_forward(x[:n], w, ONE, depthwise=d)
     assert got.shape == (n, 40, 1, x.shape[3] - k + 1) and got.dtype == np.float64
     err = max_rel(got, want[:n])
@@ -394,35 +460,36 @@ def test_time_then_depthwise_keeps_float32():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
-def test_time_then_depthwise_threads_equal_the_serial_loop(monkeypatch, n):
+def test_time_then_depthwise_threads_equal_the_serial_loop(monkeypatch, one_trial_chunks, n):
     x, w, d = time_then_depthwise(np.random.default_rng(n), n, 3, 4, 60, 20, cout=5)
     threaded = kernels.conv2d_forward(x, w, ONE, depthwise=d)
     again = kernels.conv2d_forward(x, w, ONE, depthwise=d)
-    monkeypatch.setattr(kernels, "_per_trial", lambda fn, n: [fn(b) for b in range(n)])
-    serial = kernels.conv2d_forward(x, w, ONE, depthwise=d)
+    monkeypatch.setattr(kernels, "_per_chunk", serial)
+    looped = kernels.conv2d_forward(x, w, ONE, depthwise=d)
     assert np.array_equal(threaded, again), "repeated calls differ"
-    assert np.array_equal(threaded, serial), "threads differ from the serial loop"
+    assert np.array_equal(threaded, looped), "threads differ from the serial loop"
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("cin, h, k, transposed", [
-    (1, 4, 7, False),                          # mini branch1
-    (4, 6, 9, False),                          # mini branch2.view1
-    (6, 4, 9, True),                           # mini branch2.view2
-    (2, 3, kernels.FFT_MIN_TAPS - 1, False),
+@pytest.mark.parametrize("cin, h, transposed, cout", [
+    (1, 4, False, 3),  # a 1-tap mini branch1
+    (4, 6, False, 3),  # a 1-tap mini branch2.view1
+    (6, 4, True, 3),   # a 1-tap mini branch2.view2
+    (1, 1, False, 1),  # [1, 1, 1, 1] on one row: pointwise, not depthwise
 ])
-def test_time_then_depthwise_below_fft_taps_is_two_calls_bit_for_bit(cin, h, k, transposed,
-                                                                      dtype):
-    x, w, d = time_then_depthwise(np.random.default_rng(k), 8, cin, h, 64, k, transposed,
-                                  dtype, cout=3)
+def test_pointwise_then_depthwise_is_two_calls_bit_for_bit(cin, h, transposed, cout, dtype):
+    """A 1-tap stem's time conv is a pointwise conv: the call composes the
+    two einsums."""
+    x, w, d = time_then_depthwise(np.random.default_rng(cin), 8, cin, h, 64, 1, transposed,
+                                  dtype, cout=cout)
     got = kernels.conv2d_forward(x, w, ONE, depthwise=d)
     assert got.dtype == dtype
     assert np.array_equal(got, kernels.conv2d_forward(kernels.conv2d_forward(x, w, ONE), d, ONE))
 
 
 def test_time_then_depthwise_inverse_transforms_cout_rows(computed, monkeypatch, rng):
-    """On the rFFT path the depthwise sum is one contraction on the
-    spectrum, and the inverse transform sees [F, Cout, 1], not [F, Cout, H]."""
+    """The depthwise sum is one contraction on a chunk's spectrum, and the
+    inverse transform sees [F, B, Cout, 1], not [F, B, Cout, H]."""
     inverse = []
     signal = kernels._signal
 
@@ -431,11 +498,11 @@ def test_time_then_depthwise_inverse_transforms_cout_rows(computed, monkeypatch,
         return signal(spec, n)
 
     monkeypatch.setattr(kernels, "_signal", spy_signal)
-    x, w, d = time_then_depthwise(rng, 3, 4, 5, 40, kernels.FFT_MIN_TAPS, cout=2)
+    x, w, d = time_then_depthwise(rng, 3, 4, 5, 40, 16, cout=2)
     kernels.conv2d_forward(x, w, ONE, depthwise=d)
-    # one kernel spectrum, then per trial (in any order across threads) its spectrum and the sum
-    assert sorted(computed) == sorted(["rfft"] + ["rfft", "foh,oh->fo"] * 3)
-    assert inverse == [(21, 2, 1)] * 3
+    # the three trials are one chunk: one kernel spectrum, then the chunk's and its sum
+    assert computed == ["rfft", "rfft", "fobh,oh->fob"]
+    assert inverse == [(21, 3, 2, 1)]
 
 
 def test_time_then_depthwise_rejects_other_kernels(rng):
@@ -450,28 +517,21 @@ def test_time_then_depthwise_rejects_other_kernels(rng):
 
 
 # ---------------------------------------------------------------------------
-# the tap loop and the oracle
+# the pointwise path and the oracle
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("n, cin, h, wd, cout, k, transposed", [
-    (8, 1, 4, 64, 3, 7, False),    # mini branch1.tc
-    (8, 4, 6, 64, 3, 9, False),    # mini branch2.view1.tc
-    (8, 6, 4, 64, 3, 9, True),     # mini branch2.view2.tc, a transposed view
-    (8, 3, 1, 13, 8, 1, False),    # mini pwc
-    (2, 40, 1, 71, 120, 1, False),  # bci2a branch1.pwc
-    (2, 40, 1, 1, 120, 1, False),  # seed branch2 pwc
-    (3, 2, 2, 30, 2, kernels.FFT_MIN_TAPS - 1, False),
+@pytest.mark.parametrize("n, cin, wd, cout", [
+    (8, 3, 13, 8),     # mini pwc
+    (2, 40, 71, 120),  # bci2a branch1.pwc
+    (2, 40, 1, 120),   # seed branch2 pwc
 ])
-def test_tap_loop_equals_the_oracle_bit_for_bit(n, cin, h, wd, cout, k, transposed, dtype):
-    rng = np.random.default_rng(k + wd)
-    if transposed:
-        x = rng.normal(size=(n, h, cin, wd)).astype(dtype).transpose(0, 2, 1, 3)
-    else:
-        x = rng.normal(size=(n, cin, h, wd)).astype(dtype)
-    w = rng.normal(size=(cout, cin, 1, k)).astype(dtype)
-    g = rng.normal(size=(n, cout, h, wd - k + 1)).astype(dtype)
+def test_pointwise_conv_equals_the_oracle_bit_for_bit(n, cin, wd, cout, dtype):
+    rng = np.random.default_rng(wd)
+    x = rng.normal(size=(n, cin, 1, wd)).astype(dtype)
+    w = rng.normal(size=(cout, cin, 1, 1)).astype(dtype)
+    g = rng.normal(size=(n, cout, 1, wd)).astype(dtype)
     pairs = {
         "forward": (kernels.conv2d_forward(x, w, ONE), conv2d_forward_np(x, w, ONE, 1)),
         "input gradient": (kernels.conv2d_backward_input(g, w, x.shape),

@@ -8,6 +8,7 @@ import pytest
 
 from dualtsst import dataio, tensor as T
 from dualtsst.errors import DataError
+from dualtsst.gradcheck import check_gradients
 from dualtsst import model as model_module
 from dualtsst.model import (ENCODER_MLP_RATIO, RETIRED_MODEL_KEYS, DualTsstModel, ModelConfig,
                             config_from_preset)
@@ -229,7 +230,7 @@ def test_attention_maps_are_the_softmax_of_the_scaled_scores(rng, monkeypatch):
         assert err <= 1e-12, f"layer {i}: max relative error {err:.3e}"
 
 
-@pytest.mark.parametrize("time_kernel_tfr", [9, 17])  # direct summation and rFFT
+@pytest.mark.parametrize("time_kernel_tfr", [9, 17])  # mini's and a longer time kernel
 @pytest.mark.parametrize("train", [False, True])
 def test_transposed_view_2_matches_a_contiguous_copy(rng, time_kernel_tfr, train):
     eeg, tfr = mini_inputs(rng, n=3)
@@ -269,7 +270,7 @@ ABLATIONS = [
 
 
 def rfft_config(**overrides) -> ModelConfig:
-    """A small model whose time convs all take the rFFT path."""
+    """A small model whose time kernels are longer than mini's."""
     cfg = ModelConfig(n_channels=3, n_times=48, n_freqs=4, n_classes=3,
                       branch_channels=5, embed_dim=8, time_kernel_raw=16, time_kernel_tfr=21,
                       pool_raw=10, pool_raw_stride=4, pool_tfr=8, pool_tfr_stride=4,
@@ -299,17 +300,29 @@ def graph_and_inference_logits(model, rng, n=3):
     return graph.data, inference.data
 
 
-@pytest.mark.parametrize("ablation", ABLATIONS)
-def test_inference_logits_match_the_graph_logits(rng, ablation):
-    graph, inference = graph_and_inference_logits(stirred_model(rfft_config(**ablation)), rng)
+def assert_inference_matches_the_graph(model, rng):
+    graph, inference = graph_and_inference_logits(model, rng)
     err = np.max(np.abs(inference - graph)) / np.max(np.abs(graph))
     assert err <= 1e-10, f"max relative error {err:.3e}"
 
 
-@pytest.mark.parametrize("ablation", ABLATIONS)
-def test_mini_inference_logits_are_bit_identical(rng, ablation):
-    graph, inference = graph_and_inference_logits(stirred_model(mini_config(**ablation)), rng)
-    assert np.array_equal(inference, graph)
+@pytest.mark.parametrize("make_config, ablation", [
+    *(pytest.param(rfft_config, *a.values, id=a.id) for a in ABLATIONS),
+    *(pytest.param(mini_config, *a.values, id=f"mini-{a.id}") for a in ABLATIONS)])
+def test_inference_logits_match_the_graph_logits(rng, make_config, ablation):
+    assert_inference_matches_the_graph(stirred_model(make_config(**ablation)), rng)
+
+
+def test_one_tap_stems_run_in_inference_and_pass_gradcheck(rng):
+    """With 1-tap time kernels every stem's time conv is pointwise: the
+    inference call composes it with the depthwise conv."""
+    model = stirred_model(mini_config(time_kernel_raw=1, time_kernel_tfr=1))
+    assert_inference_matches_the_graph(model, rng)
+    eeg, tfr = mini_inputs(rng, n=3)
+    result = check_gradients(
+        lambda: T.cross_entropy(model.forward(eeg, tfr, train=True), np.array([0, 1, 1])),
+        model.params)
+    assert result.ok(1e-3), f"{result.worst_param}: {result.max_rel_error:.3e}"
 
 
 def test_evaluate_makes_no_depthwise_conv_call(monkeypatch):

@@ -33,8 +33,8 @@ def leaf(rng, *shape, scale=1.0):
 def test_conv2d_hand_cross_correlation():
     x = T.Tensor(np.array([1.0, 2, 3, 4, 5]).reshape(1, 1, 1, 5))
     k = T.Tensor(np.array([1.0, 0, -1]).reshape(1, 1, 1, 3))
-    out = T.conv2d(x, k)
-    np.testing.assert_array_equal(out.data.ravel(), [-2.0, -2.0, -2.0])
+    out = T.conv2d(x, k)  # by rFFT, so exact only to rounding
+    np.testing.assert_allclose(out.data.ravel(), [-2.0, -2.0, -2.0], rtol=1e-12, atol=0)
 
 
 def test_conv2d_pointwise_all_ones_is_channel_sum(rng):
@@ -85,7 +85,7 @@ def test_conv2d_shape_algebra(c, cout, h, w, kw):
 
 def test_conv2d_gradients(rng):
     x = leaf(rng, 2, 3, 4, 20)
-    for k in (leaf(rng, 2, 3, 1, 5),    # tap loop
+    for k in (leaf(rng, 2, 3, 1, 5),    # rFFT, a mini-length kernel
               leaf(rng, 2, 3, 1, 16),   # rFFT
               leaf(rng, 2, 3, 1, 1),    # pointwise
               leaf(rng, 3, 1, 4, 1)):   # full-height depthwise
@@ -296,8 +296,8 @@ def test_batch_norm_keeps_float32(rng, train):
 # around the depthwise conv (the tests named batch_norm_depthwise)
 # ---------------------------------------------------------------------------
 
-# a tap-loop and an rFFT time conv
-STEM_TAPS = (5, kernels.FFT_MIN_TAPS + 4)
+# a pointwise (1-tap) and two rFFT time convs
+STEM_TAPS = (1, 5, 20)
 
 
 def _stem_case(rng, shape, taps, cin=2, dtype=np.float64):
@@ -406,10 +406,11 @@ def test_batch_norm_depthwise_rejects_a_non_depthwise_kernel(rng):
                                          T.Tensor(np.ones(shape)), train)
 
 
-@pytest.mark.parametrize("taps", [5, 20])  # tap loop and rFFT
+@pytest.mark.parametrize("taps", [1, 5, 20])  # pointwise and rFFT
 def test_conv2d_batch_norm_depthwise_equals_the_graph_ops(rng, taps):
     """Eval mode with no graph recorded takes the inference path: one
-    kernels call with the depthwise kernel contracted inside the time conv."""
+    kernels call with the depthwise kernel contracted inside the time conv
+    (after a pointwise conv, the two einsums one after the other)."""
     x = T.Tensor(rng.normal(size=(3, 2, 4, 40)))
     w = leaf(rng, 3, 2, 1, taps)
     depthwise, gamma, beta = leaf(rng, 3, 1, 4, 1), leaf(rng, 3), leaf(rng, 3)
@@ -420,10 +421,35 @@ def test_conv2d_batch_norm_depthwise_equals_the_graph_ops(rng, taps):
         got = T.time_conv_bn_depthwise(x, w, gamma, beta, rm, rv, depthwise, train=False)
     assert got.shape == want.shape == (3, 3, 1, 41 - taps)
     assert not got.requires_grad
-    if taps < kernels.FFT_MIN_TAPS:
+    if taps == 1:
         assert np.array_equal(got.data, want.data)
     else:
         assert np.max(np.abs(got.data - want.data)) / np.max(np.abs(want.data)) <= 1e-12
+
+
+def test_chunked_moments_and_stem_backward_do_not_depend_on_the_chunk(rng, monkeypatch):
+    """Batch statistics, running buffers and the stem's batch-statistics
+    gradient are walked a chunk of trials at a time; one chunk of the whole
+    batch and one-trial chunks give the same bits.  The stem's time conv is
+    pointwise, which is not chunked."""
+    case = _stem_case(rng, (5, 3, 4, 11), 1)
+    _, _, gamma, beta, rm, rv, _ = case
+    g = rng.normal(size=(5, 3, 1, 11))
+    h_data, g_bn = rng.normal(size=(2, 5, 3, 4, 11))
+
+    def runs():
+        h = T.Tensor(h_data, requires_grad=True)
+        buffers = rm.copy(), rv.copy()
+        out = T.batch_norm(h, T.Tensor(gamma.data), T.Tensor(beta.data), *buffers, train=True)
+        T.backward((out * T.Tensor(g_bn)).sum())
+        return _stem_run(True, *case, g, True) + (out.data, h.grad) + buffers
+
+    assert kernels._chunks(5, h_data[0].nbytes) == [slice(0, 5)]
+    whole = runs()
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1)
+    names = STEM_RESULTS + ("bn out", "bn x grad", "bn running mean", "bn running var")
+    for name, a, b in zip(names, whole, runs(), strict=True):
+        assert np.array_equal(a, b), name
 
 
 # ---------------------------------------------------------------------------
