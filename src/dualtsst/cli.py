@@ -330,7 +330,8 @@ def _cmd_train(args) -> int:
     result = training.train_loop(model, train_set, train_cfg, test_set=test_set,
                                  out_dir=args.out, progress=progress)
     if result.best_test_acc is not None:
-        print(f"best test accuracy {result.best_test_acc:.4f} at epoch {result.best_epoch}")
+        print(f"best test accuracy {result.best_test_acc:.4f} at epoch {result.best_epoch} "
+              "(selected on the test split: not a held-out estimate)")
     print(f"artifacts in {args.out}")
     return 0
 
@@ -369,6 +370,7 @@ def _cmd_eval(args) -> int:
         "model": str(args.model),
         "data": str(args.data),
         "split": dataclasses.asdict(plan),
+        "environment": _environment(),
     })
     print(f"accuracy={report.accuracy:.4f} kappa={report.kappa:.4f} n={report.n}")
     return 0

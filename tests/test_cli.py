@@ -424,6 +424,29 @@ def test_resolved_config_records_the_environment_and_still_replays(tmp_path, min
         assert (out1 / "log.csv").read_bytes() == (out / "log.csv").read_bytes()
 
 
+def test_eval_records_the_environment(tmp_path, mini_data, monkeypatch):
+    """eval records the environment next to its config, as train does."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    run, evaldir = tmp_path / "run", tmp_path / "eval"
+    assert dispatch(train_args(mini_data, run)) == 0
+    assert dispatch(["eval", "--model", str(run / "model_final.dtss"), "--data", str(mini_data),
+                     "--out", str(evaldir), "--preset", "mini"]) == 0
+    trained = json.loads((run / "resolved_config.json").read_text())
+    resolved = json.loads((evaldir / "resolved_config.json").read_text())
+    assert resolved["command"] == "eval"
+    assert resolved["environment"] == trained["environment"]
+    assert resolved["environment"]["blas_threads"]["OMP_NUM_THREADS"] == "1"
+
+
+def test_train_summary_says_the_best_accuracy_is_not_held_out(tmp_path, mini_data, capsys):
+    assert dispatch(train_args(mini_data, tmp_path / "run")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    best = [line for line in lines if line.startswith("best test accuracy")]
+    assert len(best) == 1
+    assert best[0].endswith("(selected on the test split: not a held-out estimate)"), best
+
+
 def test_ablation_flags(tmp_path, mini_data):
     out = tmp_path / "ablate"
     code = dispatch(train_args(mini_data, out, extra=["--no-transformer", "--no-augment"]))

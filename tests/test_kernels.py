@@ -8,8 +8,10 @@ pointwise ``[Cout, Cin, 1, 1]`` kernels, the rFFT path of time convs
 depthwise ``[C, 1, H, 1]`` kernels.
 """
 
+import gc
 import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -514,6 +516,146 @@ def test_time_then_depthwise_rejects_other_kernels(rng):
             kernels.conv2d_forward(x, w, ONE, depthwise=bad)
     with pytest.raises(ValueError, match="depthwise kernel"):  # after a depthwise conv
         kernels.conv2d_forward(x, rng.normal(size=(4, 1, 3, 1)), ONE, depthwise=d)
+
+
+# ---------------------------------------------------------------------------
+# kernel spectra, taken once per kernel value
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_spectra():
+    """An empty kernel-spectrum memo, so the first call on a kernel is cold."""
+    kernels._KERNEL_SPECTRA.clear()
+    return kernels._KERNEL_SPECTRA
+
+
+def memo_passes(x, w, d, g):
+    """Forward, fused forward and input gradient of one time kernel."""
+    return (kernels.conv2d_forward(x, w, ONE),
+            kernels.conv2d_forward(x, w, ONE, depthwise=d),
+            kernels.conv2d_backward_input(g, w, x.shape))
+
+
+def test_a_kernel_spectrum_is_taken_once_per_kernel_value(computed, no_spectra, rng):
+    """After the first call on a kernel, each call transforms only its
+    input (one chunk here), and gives the bits of a call with no memo."""
+    x, w, d = time_then_depthwise(rng, 3, 4, 5, 40, 16, cout=2)
+    g = rng.normal(size=(3, 2, 5, 25))
+    cold = []
+    for run in range(3):
+        no_spectra.clear()
+        cold.append(memo_passes(x, w, d, g)[run])
+    no_spectra.clear()
+    computed.clear()
+    kernels.conv2d_forward(x, w, ONE)
+    assert computed == ["rfft", "rfft"]  # the kernel's, then the input's
+    computed.clear()
+    warm = memo_passes(x, w, d, g)
+    assert computed == ["rfft", "rfft", "fobh,oh->fob", "rfft"]
+    for name, a, b in zip(("forward", "forward with depthwise", "input gradient"), warm, cold):
+        assert np.array_equal(a, b), f"{name}: a warm call differs from a cold one"
+    assert len(no_spectra) == 1
+
+
+def test_a_kernel_changed_in_place_gets_a_fresh_spectrum(computed, no_spectra, rng):
+    x = rng.normal(size=(2, 3, 2, 50))
+    w = rng.normal(size=(4, 3, 1, 20))
+    w[0, 0, 0, 3] = -0.0
+    kernels.conv2d_forward(x, w, ONE)
+    for edit in ("one element", "-0.0 to +0.0"):
+        if edit == "one element":
+            w[1, 2, 0, 5] += 1.0
+        else:
+            w[0, 0, 0, 3] = 0.0
+        computed.clear()
+        got = kernels.conv2d_forward(x, w, ONE)
+        assert computed == ["rfft", "rfft"], edit
+        assert max_rel(got, conv2d_forward_np(x, w, ONE, 1)) <= FFT_TOL, edit
+        g = rng.normal(size=got.shape)
+        want = conv2d_backward_input_np(g, w, x.shape, ONE, 1)
+        assert max_rel(kernels.conv2d_backward_input(g, w, x.shape), want) <= FFT_TOL, edit
+    assert len(no_spectra) == 1
+
+
+def test_float32_and_float64_kernels_never_share_an_entry(no_spectra, rng):
+    x = rng.normal(size=(2, 3, 2, 50))
+    w64 = rng.normal(size=(4, 3, 1, 20))
+    w32 = w64.astype(np.float32)
+    got64 = kernels.conv2d_forward(x, w64, ONE)
+    got32 = kernels.conv2d_forward(x.astype(np.float32), w32, ONE)
+    assert got64.dtype == np.float64 and got32.dtype == np.float32
+    assert len(no_spectra) == 2
+    assert kernels._kernel_spectrum(w64, 50).dtype == np.complex128
+    assert kernels._kernel_spectrum(w32, 50).dtype == np.complex64
+    no_spectra.clear()
+    assert np.array_equal(kernels.conv2d_forward(x.astype(np.float32), w32, ONE), got32)
+    assert np.array_equal(kernels.conv2d_forward(x, w64, ONE), got64)
+
+
+def test_the_kept_spectrum_is_read_only(no_spectra, rng):
+    w = rng.normal(size=(4, 3, 1, 20))
+    spec = kernels._kernel_spectrum(w, 50)
+    assert spec.shape == (26, 4, 3) and not spec.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        spec[0, 0, 0] = 0.0
+    assert kernels._kernel_spectrum(w, 50) is spec
+
+
+def test_threads_sharing_kernels_get_the_bits_of_a_cold_call(no_spectra):
+    """Threads calling with one shared kernel and kernels of their own, each
+    own kernel toggled in place between two values, get the bits of a call
+    with no memo."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(1, 3, 2, 40))
+    shared = rng.normal(size=(4, 3, 1, 9))
+    own = [rng.normal(size=(4, 3, 1, 9)) for _ in range(6)]
+    values = {id(w): (w[0, 0, 0, 0], w[0, 0, 0, 0] + 1.0) for w in own}
+    want = {}
+    for w in [shared, *own]:
+        want[id(w)] = []
+        for v in values.get(id(w), (w[0, 0, 0, 0],)):
+            w[0, 0, 0, 0] = v
+            no_spectra.clear()
+            want[id(w)].append(kernels.conv2d_forward(x, w, ONE))
+    bad = []
+
+    def work(w):
+        for i in range(40):
+            w[0, 0, 0, 0] = values[id(w)][i % 2]
+            for w_, which in ((shared, 0), (w, i % 2)):
+                if not np.array_equal(kernels.conv2d_forward(x, w_, ONE), want[id(w_)][which]):
+                    bad.append((w_ is shared, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in own]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    del w, shared, own
+    gc.collect()
+    assert no_spectra == {}
+
+
+def test_no_spectrum_outlives_its_model(no_spectra, rng):
+    model = DualTsstModel(config_from_preset(dataio.preset("mini")), rng=rng)
+    cfg = model.config
+    eeg = rng.normal(size=(2, cfg.n_channels, cfg.n_times))
+    tfr = rng.normal(size=(2, cfg.n_channels, cfg.n_freqs, cfg.n_times))
+    with T.no_grad():
+        model.forward(eeg, tfr, train=False)
+    cross_entropy(model.forward(eeg, tfr, train=True), np.array([0, 1])).backward()
+    assert len(no_spectra) == len(cfg.branches())  # one per time kernel
+    del model
+    gc.collect()
+    assert no_spectra == {}
 
 
 # ---------------------------------------------------------------------------

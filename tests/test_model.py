@@ -351,6 +351,56 @@ def test_evaluate_makes_no_depthwise_conv_call(monkeypatch):
     assert sorted(fused) == sorted(time_convs * 2)  # two batches, three branches each
 
 
+def test_kernel_spectra_kept_between_calls_change_no_bit(monkeypatch):
+    """``evaluate`` twice, and again with no kernel spectra kept, gives equal
+    logits; a train step's gradients and running statistics are the same
+    bits whether the spectra are already kept or not."""
+    from dualtsst import kernels, train
+
+    model = stirred_model(rfft_config())
+    cfg = model.config
+    eeg, tfr = mini_inputs(np.random.default_rng(6), n=5, cfg=cfg)
+    ts = dataio.TrialSet(eeg=eeg, labels=np.arange(5) % cfg.n_classes, fs=128.0, tfr=tfr,
+                         class_names=["a", "b", "c"])
+    logits = []
+    forward = model.forward
+
+    def spy(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        logits.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(model, "forward", spy)
+    runs = []
+    for clear in (True, False, True):
+        if clear:
+            kernels._KERNEL_SPECTRA.clear()
+        logits.clear()
+        train.evaluate(model, ts, batch_size=3)
+        runs.append(np.concatenate(logits))
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+    monkeypatch.undo()
+
+    buffers = {name: buf.copy() for name, buf in model.buffers.items()}
+
+    def step():
+        for name, buf in model.buffers.items():
+            buf[...] = buffers[name]
+        model.zero_grad()
+        T.cross_entropy(model.forward(eeg, tfr, train=True), ts.labels).backward()
+        return ({name: p.grad.copy() for name, p in model.params.items()},
+                {name: buf.copy() for name, buf in model.buffers.items()})
+
+    kernels._KERNEL_SPECTRA.clear()
+    cold = step()
+    assert kernels._KERNEL_SPECTRA  # the step kept its time kernels' spectra
+    warm = step()
+    for kind, a, b in (("gradient", cold[0], warm[0]), ("buffer", cold[1], warm[1])):
+        assert a.keys() == b.keys()
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), f"{kind} {name}"
+
+
 # ---------------------------------------------------------------------------
 # encoder behaviour
 # ---------------------------------------------------------------------------
