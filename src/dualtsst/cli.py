@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -123,8 +124,12 @@ def _split_plan_from_args(args, preset=None, file_cfg=None) -> dataio.SplitPlan:
 def _cmd_synth(args) -> int:
     p = dataio.preset(args.preset) if args.preset else None
     ch = args.ch if args.ch is not None else (p.n_channels if p else 4)
-    n_times = args.t if args.t is not None else (p.n_times if p else 64)
     fs = args.fs if args.fs is not None else (p.fs if p else 128.0)
+    if not 0 < fs < float("inf"):
+        raise UsageError(f"--fs must be a positive finite number, got {fs}")
+    n_times = args.t if args.t is not None else (p.n_times if p else 64)
+    if args.t is None and p is not None and p.window:
+        n_times = round(p.window[1] * fs)  # recordings reach the end of the preset's window
     if args.classes:
         classes = _parse_classes(args.classes)
     elif p is not None and p.synth_classes:
@@ -139,8 +144,6 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--t must be >= 1, got {n_times}")
     if not 0 <= args.noise < float("inf"):
         raise UsageError(f"--noise must be a finite number >= 0, got {args.noise}")
-    if not 0 < fs < float("inf"):
-        raise UsageError(f"--fs must be a positive finite number, got {fs}")
     ts = dataio.synth(args.n, ch, n_times, fs, classes, noise=args.noise, seed=args.seed)
     dataio.write_dataset(args.out, ts, name=args.name)
     _write_resolved(args.out, {
@@ -165,6 +168,9 @@ def _cmd_transform(args) -> int:
     freq_step = args.freq_step if args.freq_step is not None else (p.freq_step if p else 1.0)
     if not 0 < freq_step < float("inf"):
         raise UsageError(f"--freq-step must be a positive finite number, got {freq_step}")
+    for flag, value in (("--freq-lo", freq_lo), ("--freq-hi", freq_hi)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be a finite number, got {value}")
     window = _parse_window(args.window) if args.window else (p.window if p else None)
     band = _parse_window(args.band) if args.band else (p.band if p else None)
     freqs = np.arange(freq_lo, freq_hi + 1e-9, freq_step)
@@ -251,6 +257,10 @@ def _load_run_config(path) -> dict:
         for key, value in raw[section].items():
             if not _JSON_CHECKS[types[key]](value):
                 raise DataError(f"{path}: {section}.{key} must be {types[key]}, got {value!r}")
+    if "seed" in raw:  # the run seed is train.seed; older resolved configs hold both
+        seed, train = raw.pop("seed"), raw.setdefault("train", {})
+        if train.setdefault("seed", seed) != seed:
+            raise DataError(f"{path}: seed {seed} and train.seed {train['seed']} disagree")
     return raw
 
 
@@ -283,10 +293,8 @@ def _cmd_train(args) -> int:
     train_kwargs.update(file_cfg.get("train", {}))
     if args.epochs is not None:
         train_kwargs["epochs"] = args.epochs
-    seed = args.seed
-    if seed is None:
-        seed = file_cfg.get("seed", train_kwargs.get("seed", 0))
-    train_kwargs["seed"] = seed
+    if args.seed is not None:
+        train_kwargs["seed"] = args.seed
     _apply_ablation(args, model_kwargs, train_kwargs)
     # what needs no data is checked before any is read, and the model before the rest
     train_cfg = training.TrainConfig(**train_kwargs)
@@ -304,7 +312,7 @@ def _cmd_train(args) -> int:
         **model_kwargs,
     })
     _check_fits(model_cfg, first)
-    model = DualTsstModel(model_cfg, rng=training.init_rng_for_seed(seed),
+    model = DualTsstModel(model_cfg, rng=training.init_rng_for_seed(train_cfg.seed),
                           dtype=np.dtype(train_cfg.dtype))
 
     train_set, test_set = dataio.load_dataset(args.data, plan, require_tfr=True,
@@ -313,7 +321,6 @@ def _cmd_train(args) -> int:
     _write_resolved(args.out, {
         "command": "train",
         "preset": preset_name,
-        "seed": seed,
         "split": dataclasses.asdict(plan),
         "model": dataclasses.asdict(model_cfg),
         "train": dataclasses.asdict(train_cfg),
@@ -349,12 +356,10 @@ def _cmd_eval(args) -> int:
         test_set.labels, preds, test_set.class_names,
         config=dataclasses.asdict(model.config),
     )
-    groups = {}
-    for s in sorted(set(test_set.subjects)):
-        idx = [i for i, subj in enumerate(test_set.subjects) if subj == s]
-        groups[s] = (test_set.labels[idx], preds[idx])
+    subjects = np.array([t.subject for t in test_manifest.trials])
+    groups = {str(s): (test_set.labels[subjects == s], preds[subjects == s])
+              for s in np.unique(subjects)}
     summary = metrics.subject_summary(groups, n_classes=len(test_set.class_names))
-    report.extra["kappa_pooled"] = summary["kappa_pooled"]
     report.extra["kappa_mean"] = summary["kappa_mean"]
     if len(groups) > 1:
         report.extra["subjects"] = summary
@@ -431,7 +436,7 @@ def _cmd_gradcheck(args) -> int:
     result = check_gradients(loss_fn, model.params)
     print(f"gradcheck: max relative error {result.max_rel_error:.3e} "
           f"(worst: {result.worst_param}) over {model.param_count()} parameters")
-    if not result.ok(GRADCHECK_TOL):
+    if not result.max_rel_error < GRADCHECK_TOL:
         raise NumericalError(
             f"gradient check failed: {result.max_rel_error:.3e} >= {GRADCHECK_TOL}"
         )

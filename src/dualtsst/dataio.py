@@ -166,7 +166,6 @@ class TrialSet:
     tfr: np.ndarray | None = None
     freqs: np.ndarray | None = None
     class_names: list[str] | None = None
-    subjects: list[str] | None = None
 
     def __post_init__(self):
         self.eeg = np.asarray(self.eeg, dtype=np.float64)
@@ -182,8 +181,6 @@ class TrialSet:
                 raise DataError(
                     f"TFR shape {self.tfr.shape} inconsistent with EEG {self.eeg.shape}"
                 )
-        if self.subjects is None:
-            self.subjects = ["s0"] * len(self.labels)
 
     def __len__(self) -> int:
         return self.eeg.shape[0]
@@ -209,7 +206,6 @@ class TrialSet:
             tfr=None if self.tfr is None else self.tfr[idx],
             freqs=self.freqs,
             class_names=self.class_names,
-            subjects=[self.subjects[i] for i in idx],
         )
 
     def class_indices(self, label: int) -> np.ndarray:
@@ -402,7 +398,6 @@ def write_dataset(dataset_dir, trials: TrialSet, name: str = "dataset",
             TrialEntry(
                 file=rel,
                 label=int(trials.labels[i]),
-                subject=trials.subjects[i],
                 split=None if splits is None else splits[i],
             )
         )
@@ -533,7 +528,6 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
         tfr=tfr,
         freqs=None if manifest.tfr is None else np.asarray(manifest.tfr["freqs"]),
         class_names=manifest.class_names,
-        subjects=[t.subject for t in manifest.trials],
     )
 
 

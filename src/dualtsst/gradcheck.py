@@ -43,9 +43,6 @@ class GradCheckResult:
     max_rel_error: float
     worst_param: str
 
-    def ok(self, tol: float) -> bool:
-        return self.max_rel_error < tol
-
 
 def check_gradients(loss_fn, params: dict[str, Tensor]) -> GradCheckResult:
     """Compare reverse-mode gradients of ``loss_fn()`` against central FD.

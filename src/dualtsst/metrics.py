@@ -215,24 +215,18 @@ def export_report(report: EvalReport, out_dir) -> tuple:
 
 
 def subject_summary(groups: dict, n_classes: int) -> dict:
-    """Per-subject accuracies plus pooled and averaged kappa.
+    """Per-subject accuracy and kappa, and their means over subjects.
 
     ``groups`` maps subject id -> (y_true, y_pred).
     """
     if not groups:
         raise DataError("no subjects to summarise")
-    pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     per_subject = {}
-    kappas = []
     for subject, (y_true, y_pred) in sorted(groups.items()):
         cm = confusion_matrix(y_true, y_pred, n_classes)
-        pooled += cm
         per_subject[subject] = {"accuracy": accuracy(cm), "kappa": kappa(cm), "n": int(cm.sum())}
-        kappas.append(kappa(cm))
     return {
         "per_subject": per_subject,
-        "kappa_pooled": kappa(pooled),
-        "kappa_mean": float(np.mean(kappas)),
-        "accuracy_pooled": accuracy(pooled),
+        "kappa_mean": float(np.mean([v["kappa"] for v in per_subject.values()])),
         "accuracy_mean": float(np.mean([v["accuracy"] for v in per_subject.values()])),
     }

@@ -269,7 +269,8 @@ class DualTsstModel:
                 raise DataError(f"{name} input {tuple(x.shape)} is not "
                                 f"(N, {', '.join(map(str, want))})")
         if len({x.shape[0] for x in checked.values()}) > 1:
-            raise DataError("branch inputs disagree on batch size")
+            raise DataError("branch inputs disagree on batch size: " + ", ".join(
+                f"{name} {x.shape[0]}" for name, x in checked.items()))
         return checked
 
     def _branch(self, prefix: str, x, train: bool):
@@ -380,8 +381,6 @@ class DualTsstModel:
         names = self.config.branches()
         x = self._batch(eeg, "EEG", "[N, ch, T]", 3) if "branch1" in names else None
         t = self._batch(tfr, "TFR", "[N, ch, F, T]", 4) if names.keys() - {"branch1"} else None
-        if x is not None and t is not None and len(t) != len(x):
-            raise DataError(f"EEG batch of {len(x)} trials but TFR batch of {len(t)}")
         # every input is checked before any branch runs; view 2 is a transposed
         # view, not a copy: the time convs read it a chunk of trials at a time
         inputs = self._checked({"branch1": None if x is None else x[:, None, :, :],
@@ -396,9 +395,9 @@ class DualTsstModel:
             fused = self.encoder_forward(fused)
         return fused
 
-    def pooled_features(self, eeg, tfr, train: bool = False) -> Tensor:
-        """Pre-classifier features [N, D]: the encoded sequence after GAP."""
-        return T.gap(self._encode(eeg, tfr, train))
+    def pooled_features(self, eeg, tfr) -> Tensor:
+        """Pre-classifier features [N, D] in eval mode: the encoded sequence after GAP."""
+        return T.gap(self._encode(eeg, tfr, train=False))
 
     def forward(self, eeg, tfr, train: bool = False) -> Tensor:
         """Full pass from input views to logits [N, n_classes]."""

@@ -115,7 +115,7 @@ def epoch_array(x: np.ndarray, fs: float, t_start: float, t_end: float) -> np.nd
     """Extract the window [t_start, t_end) seconds; round((t_end-t_start)*fs) samples."""
     x = np.asarray(x)
     total = x.shape[-1]
-    if not (0.0 <= t_start < t_end):
+    if not (0.0 <= t_start < t_end and (t_end - t_start) * fs < math.inf):
         raise DataError(f"invalid window [{t_start}, {t_end}]")
     i0 = int(round(t_start * fs))
     n = int(round((t_end - t_start) * fs))

@@ -162,6 +162,8 @@ def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
     checkpoint is kept alongside the final one.
     """
     cfg.validate()
+    if model.dtype != cfg.dtype:
+        raise DataError(f"the model is {model.dtype}, the train config asks for {cfg.dtype}")
     if len(train_set) == 0:
         raise DataError("empty training set")
     if model.config.branches().keys() - {"branch1"} and train_set.tfr is None:

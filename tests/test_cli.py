@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualtsst import dataio, train as training
+from dualtsst import dataio, metrics, train as training
 from dualtsst.cli import dispatch
 from dualtsst.model import DualTsstModel, config_from_preset
 
@@ -180,6 +180,54 @@ def test_transform_missing_trial_file_exits_2(tmp_path, capsys):
     assert dispatch(["transform", "--data", str(data), "--preset", "mini"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing trial file" in err
+
+
+@pytest.mark.parametrize("name", dataio.preset_names())
+def test_synth_preset_writes_what_its_transform_reads(tmp_path, name):
+    p = dataio.preset(name)
+    data = tmp_path / "d"
+    classes = [] if p.synth_classes else [
+        "--classes", ",".join(str(8 + 4 * k) for k in range(p.n_classes))]
+    assert dispatch(["synth", "--out", str(data), "--preset", name, "--n", "1", *classes]) == 0
+    assert dispatch(["transform", "--data", str(data), "--preset", name]) == 0
+    trials = dataio.load_trialset(data, require_tfr=True)
+    assert (trials.n_channels, trials.n_times, trials.n_freqs) == (
+        p.n_channels, p.n_times, len(p.freqs()))
+
+
+@pytest.mark.parametrize("flag,value,code,message", [
+    pytest.param("--freq-hi", "inf", 1, "--freq-hi must be a finite number, got inf",
+                 id="freq-hi-inf"),
+    pytest.param("--freq-lo", "nan", 1, "--freq-lo must be a finite number, got nan",
+                 id="freq-lo-nan"),
+    pytest.param("--freq-hi", "nan", 1, "--freq-hi must be a finite number, got nan",
+                 id="freq-hi-nan"),
+    pytest.param("--window", "0:inf", 2, "invalid window [0.0, inf]", id="window-inf"),
+    pytest.param("--window", "0:1e307", 2, "invalid window [0.0, 1e+307]",
+                 id="window-overflows-samples"),
+])
+def test_transform_non_finite_setting_is_a_one_line_error(tmp_path, mini_data, capsys, flag,
+                                                          value, code, message):
+    data = tmp_path / "d"
+    shutil.copytree(mini_data, data)
+    before = {f: f.read_bytes() for f in data.rglob("*") if f.is_file()}
+    assert dispatch(["transform", "--data", str(data), "--preset", "mini", flag, value]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
+    assert len(dataio.load_trialset(data, require_tfr=True)) == 18
+
+
+def test_train_on_a_manifest_with_an_infinite_window_exits_2(tmp_path, mini_data, capsys):
+    data = tmp_path / "d"
+    shutil.copytree(mini_data, data)
+    manifest = dataio.load_manifest(data)
+    manifest.preprocess = {"band": None, "window": [0.0, math.inf]}
+    dataio.save_manifest(data, manifest)
+    assert "Infinity" in (data / "manifest.json").read_text()
+    out = tmp_path / "run"
+    assert dispatch(train_args(data, out)) == 2
+    assert capsys.readouterr().err == "error: invalid window [0.0, inf]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("batch", ["0", "-2"])
@@ -380,6 +428,49 @@ def test_train_negative_config_seed_exits_2(tmp_path, mini_data, capsys, config)
     assert err.count("\n") == 1 and "seed must be >= 0" in err
 
 
+def config_run(data, out, config=None, extra=()):
+    argv = ["train", "--data", str(data), "--out", str(out), "--preset", "mini",
+            "--epochs", "2", "--quiet", *extra]
+    if config is not None:
+        path = out.with_suffix(".json")
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    return dispatch(argv)
+
+
+def test_train_config_seeds_that_disagree_exit_2(tmp_path, mini_data, capsys):
+    out = tmp_path / "x"
+    assert config_run(mini_data, out, {"seed": 1, "train": {"seed": 2}}) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed 1 and train.seed 2 disagree" in err
+    assert not (out / "resolved_config.json").exists()
+
+
+def test_a_top_level_config_seed_is_the_train_seed(tmp_path, mini_data):
+    flag = tmp_path / "flag"
+    assert config_run(mini_data, flag, extra=["--seed", "5"]) == 0
+    for i, config in enumerate([{"seed": 5}, {"train": {"seed": 5}},
+                                {"seed": 5, "train": {"seed": 5}}]):
+        out = tmp_path / f"config{i}"
+        assert config_run(mini_data, out, config) == 0
+        for name in ("log.csv", "model_final.dtss"):
+            assert (out / name).read_bytes() == (flag / name).read_bytes()
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert "seed" not in resolved and resolved["train"]["seed"] == 5
+
+
+def test_float32_training_is_deterministic_and_reloads_as_float32(tmp_path, mini_data):
+    runs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in runs:
+        assert config_run(mini_data, out, {"train": {"dtype": "float32"}},
+                          extra=["--seed", "3"]) == 0
+    for name in ("log.csv", "model_best.dtss", "model_final.dtss"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    model = DualTsstModel.load(runs[0] / "model_final.dtss")
+    assert model.dtype == np.float32
+    assert all(p.data.dtype == np.float32 for p in model.params.values())
+
+
 def test_train_backend_flag_is_a_usage_error(tmp_path, mini_data, capsys):
     assert dispatch(train_args(mini_data, tmp_path / "x", extra=["--backend", "numpy"])) == 1
     err = capsys.readouterr().err
@@ -410,6 +501,7 @@ def test_resolved_config_records_the_environment_and_still_replays(tmp_path, min
     out1 = tmp_path / "r1"
     assert dispatch(train_args(mini_data, out1)) == 0
     resolved = json.loads((out1 / "resolved_config.json").read_text())
+    assert "seed" not in resolved and resolved["train"]["seed"] == 11
     env = resolved["environment"]
     assert set(env) == {"python", "numpy", "cpu_count", "blas_threads"}
     assert env["numpy"] == np.__version__ and isinstance(env["python"], str)
@@ -524,6 +616,27 @@ def test_eval_reads_only_the_test_split(tmp_path, mini_data, monkeypatch):
     assert dispatch([*argv, "--data", str(data), "--out", str(tmp_path / "e2")]) == 0
     for name in ("report.json", "confusion.csv"):
         assert (tmp_path / "e2" / name).read_bytes() == (tmp_path / "e1" / name).read_bytes()
+
+
+def test_eval_scores_each_subject_the_manifest_tags(tmp_path, mini_data):
+    data = tmp_path / "d"
+    shutil.copytree(mini_data, data)
+    manifest = dataio.load_manifest(data)
+    for i, trial in enumerate(manifest.trials):
+        trial.subject = f"s{i % 2 + 1}"
+    dataio.save_manifest(data, manifest)
+    out = tmp_path / "e"
+    assert dispatch(["eval", "--model", str(mini_checkpoint(tmp_path / "m.dtss")),
+                     "--data", str(data), "--out", str(out), "--preset", "mini"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    per_subject = report["subjects"]["per_subject"]
+    assert sorted(per_subject) == ["s1", "s2"]
+    assert sum(v["n"] for v in per_subject.values()) == report["n"]
+    kappas = [per_subject[s]["kappa"] for s in ("s1", "s2")]
+    assert report["kappa_mean"] == report["subjects"]["kappa_mean"] == float(np.mean(kappas))
+    assert not {"kappa_pooled", "accuracy_pooled"} & (set(report) | set(report["subjects"]))
+    cm = np.loadtxt(out / "confusion.csv", delimiter=",", skiprows=1, dtype=np.int64)
+    assert report["kappa"] == metrics.kappa(cm) and report["accuracy"] == metrics.accuracy(cm)
 
 
 # the model and train sections of a resolved_config.json written while

@@ -497,7 +497,6 @@ def test_load_dataset_equals_the_whole_set_normalised_then_split(tmp_path, mode)
     for part, idx in zip(splits, dataio.split_indices(len(raw), plan, tags=tags)):
         assert np.array_equal(part.eeg, eeg[idx]) and np.array_equal(part.tfr, tfr[idx])
         assert np.array_equal(part.labels, raw.labels[idx])
-        assert part.subjects == [raw.subjects[i] for i in idx]
 
 
 def test_unnormalised_load_holds_the_stored_values(tmp_path):
@@ -571,6 +570,12 @@ def test_preset_values():
     seed = dataio.preset("seed")
     assert seed.augment_segments == 0 and seed.n_channels == 62
     assert len(seed.freqs()) == 50
+
+
+@pytest.mark.parametrize("name", [n for n in dataio.preset_names() if dataio.preset(n).window])
+def test_a_windowed_preset_keeps_the_samples_of_its_window(name):
+    p = dataio.preset(name)
+    assert p.n_times == round((p.window[1] - p.window[0]) * p.fs)
 
 
 def test_preset_unknown():

@@ -210,4 +210,5 @@ def test_subject_summary():
     assert out["per_subject"]["s2"]["accuracy"] == 0.75
     assert out["kappa_mean"] == (1.0 + metrics.kappa(
         metrics.confusion_matrix([0, 1, 0, 1], [0, 1, 1, 1], 2))) / 2
-    assert 0.0 < out["kappa_pooled"] <= 1.0
+    assert out["accuracy_mean"] == 0.875
+    assert set(out) == {"per_subject", "kappa_mean", "accuracy_mean"}

@@ -88,7 +88,8 @@ def test_eeg_and_tfr_batches_of_different_sizes_are_a_data_error(rng, monkeypatc
     ran = []
     monkeypatch.setattr(model, "branch1_forward", lambda *a, **k: ran.append("branch 1"))
     monkeypatch.setattr(model, "branch2_forward", lambda *a, **k: ran.append("branch 2"))
-    with pytest.raises(DataError, match="^EEG batch of 3 trials but TFR batch of 4$"):
+    with pytest.raises(DataError, match="^branch inputs disagree on batch size: branch1 3, "
+                                        "branch2.view1 4, branch2.view2 4$"):
         model.forward(eeg, tfr, train=train)
     assert ran == []
 
@@ -322,7 +323,7 @@ def test_one_tap_stems_run_in_inference_and_pass_gradcheck(rng):
     result = check_gradients(
         lambda: T.cross_entropy(model.forward(eeg, tfr, train=True), np.array([0, 1, 1])),
         model.params)
-    assert result.ok(1e-3), f"{result.worst_param}: {result.max_rel_error:.3e}"
+    assert result.max_rel_error < 1e-3, f"{result.worst_param}: {result.max_rel_error:.3e}"
 
 
 def test_evaluate_makes_no_depthwise_conv_call(monkeypatch):

@@ -73,10 +73,11 @@ def test_epoch_full_window_identity(rng):
 
 def test_epoch_out_of_range():
     rec = np.zeros((1, 100))
-    with pytest.raises(DataError):
-        signal.epoch_array(rec, 100.0, 0.5, 1.5)
-    with pytest.raises(DataError):
-        signal.epoch_array(rec, 100.0, -0.1, 0.5)
+    # the last four have no finite sample count
+    for window in ((0.5, 1.5), (-0.1, 0.5), (0.0, np.inf), (np.nan, 0.5), (0.0, np.nan),
+                   (0.0, 1e307)):
+        with pytest.raises(DataError):
+            signal.epoch_array(rec, 100.0, *window)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,13 @@ def test_train_empty_set_rejected():
         train.train_loop(model, tr.subset([]), mini_train_cfg())
 
 
+def test_train_rejects_a_model_of_another_dtype():
+    tr, _ = tiny_sets()
+    model = build_model()
+    with pytest.raises(DataError, match="model is float64, the train config asks for float32"):
+        train.train_loop(model, tr, mini_train_cfg(dtype="float32"))
+
+
 def test_train_r_bigger_than_trial_rejected():
     tr, _ = tiny_sets()
     model = build_model()
