@@ -106,16 +106,6 @@ def _check_fits(cfg: ModelConfig, trials: dataio.TrialSet) -> None:
         raise DataError(f"dataset has {len(trials.class_names)} classes, model has {cfg.n_classes}")
 
 
-def _split_plan_from_args(args, preset=None, file_cfg=None) -> dataio.SplitPlan:
-    """Split precedence: explicit flags > config file section > preset > defaults."""
-    section = (file_cfg or {}).get("split") or {}
-    mode = args.split or section.get("mode") or (preset.split_mode if preset else "kfold")
-    k = args.k if args.k is not None else section.get("k", preset.kfold_k if preset else 5)
-    fold = args.fold if args.fold is not None else section.get("fold", 0)
-    seed = args.split_seed if args.split_seed is not None else section.get("seed", 0)
-    return dataio.SplitPlan(mode=mode, k=k, fold=fold, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -264,17 +254,24 @@ def _load_run_config(path) -> dict:
     return raw
 
 
-def _apply_ablation(args, model_kwargs: dict, train_kwargs: dict) -> None:
-    if args.no_transformer:
-        model_kwargs["use_transformer"] = False
-    if args.no_branch1:
-        model_kwargs["use_branch1"] = False
-    if args.no_b2_input1:
-        model_kwargs["use_branch2_input1"] = False
-    if args.no_b2_input2:
-        model_kwargs["use_branch2_input2"] = False
-    if args.no_augment:
-        train_kwargs["augment_segments"] = 0
+def _run_sections(args, preset, file_cfg) -> dict:
+    """The ``model``/``train``/``split`` settings of a run: the preset's, then the
+    config file's over them, then every given flag's (its dest is the key it sets)."""
+    if preset is None:
+        sections = {"model": {}, "train": {}, "split": dataclasses.asdict(dataio.SplitPlan())}
+    else:
+        sections = {
+            "model": dict(preset.model_overrides),
+            "train": {"augment_segments": preset.augment_segments, **preset.train_overrides},
+            "split": dataclasses.asdict(preset.split_plan()),
+        }
+    for name, section in sections.items():
+        section.update(file_cfg.get(name, {}))
+    for key, value in vars(args).items():
+        if "." in key and value is not None:
+            name, field = key.split(".")
+            sections[name][field] = value
+    return sections
 
 
 def _cmd_train(args) -> int:
@@ -282,23 +279,11 @@ def _cmd_train(args) -> int:
     preset_name = args.preset or file_cfg.get("preset")
     p = dataio.preset(preset_name) if preset_name else None
 
-    plan = _split_plan_from_args(args, p, file_cfg)
-    model_kwargs: dict = {}
-    train_kwargs: dict = {}
-    if p is not None:
-        model_kwargs.update(p.model_overrides)
-        train_kwargs.update(p.train_overrides)
-        train_kwargs.setdefault("augment_segments", p.augment_segments)
-    model_kwargs.update(file_cfg.get("model", {}))
-    train_kwargs.update(file_cfg.get("train", {}))
-    if args.epochs is not None:
-        train_kwargs["epochs"] = args.epochs
-    if args.seed is not None:
-        train_kwargs["seed"] = args.seed
-    _apply_ablation(args, model_kwargs, train_kwargs)
+    sections = _run_sections(args, p, file_cfg)
     # what needs no data is checked before any is read, and the model before the rest
-    train_cfg = training.TrainConfig(**train_kwargs)
+    train_cfg = training.TrainConfig(**sections["train"])
     train_cfg.validate()
+    plan = dataio.SplitPlan(**sections["split"])
     plan.validate()
 
     manifests = dataio.split_manifest(args.data, plan)
@@ -309,7 +294,7 @@ def _cmd_train(args) -> int:
         "n_times": first.n_times,
         "n_freqs": first.n_freqs,
         "n_classes": len(first.class_names),
-        **model_kwargs,
+        **sections["model"],
     })
     _check_fits(model_cfg, first)
     model = DualTsstModel(model_cfg, rng=training.init_rng_for_seed(train_cfg.seed),
@@ -346,7 +331,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = DualTsstModel.load(args.model)
     p = dataio.preset(args.preset) if args.preset else None
-    plan = _split_plan_from_args(args, p)
+    plan = dataio.SplitPlan(**_run_sections(args, p, {})["split"])
     test_manifest = dataio.split_manifest(args.data, plan)[1]
     _check_fits(model.config, _first_trial(args.data, test_manifest))
     test_set = dataio.load_trialset(args.data, require_tfr=True, manifest=test_manifest)
@@ -359,10 +344,8 @@ def _cmd_eval(args) -> int:
     subjects = np.array([t.subject for t in test_manifest.trials])
     groups = {str(s): (test_set.labels[subjects == s], preds[subjects == s])
               for s in np.unique(subjects)}
-    summary = metrics.subject_summary(groups, n_classes=len(test_set.class_names))
-    report.extra["kappa_mean"] = summary["kappa_mean"]
     if len(groups) > 1:
-        report.extra["subjects"] = summary
+        report.subjects = metrics.subject_summary(groups, n_classes=len(test_set.class_names))
     metrics.export_report(report, args.out)
     if args.features:
         with no_grad():
@@ -448,6 +431,14 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_split_flags(sp) -> None:
+    """The flags that set the ``split`` section, shared by ``train`` and ``eval``."""
+    sp.add_argument("--split", dest="split.mode", choices=["session", "kfold"])
+    sp.add_argument("--k", dest="split.k", metavar="K", type=int)
+    sp.add_argument("--fold", dest="split.fold", metavar="FOLD", type=int)
+    sp.add_argument("--split-seed", dest="split.seed", metavar="SPLIT_SEED", type=_seed)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dualtsst", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -489,18 +480,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--config", help="JSON file with 'model'/'train' sections")
     sp.add_argument("--preset", choices=dataio.preset_names())
-    sp.add_argument("--seed", type=_seed)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--split", choices=["session", "kfold"])
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--fold", type=int)
-    sp.add_argument("--split-seed", type=_seed)
+    sp.add_argument("--seed", dest="train.seed", metavar="SEED", type=_seed)
+    sp.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int)
+    _add_split_flags(sp)
     sp.add_argument("--quiet", action="store_true")
-    sp.add_argument("--no-transformer", action="store_true")
-    sp.add_argument("--no-branch1", action="store_true")
-    sp.add_argument("--no-b2-input1", action="store_true")
-    sp.add_argument("--no-b2-input2", action="store_true")
-    sp.add_argument("--no-augment", action="store_true")
+    for flag, key in (("--no-transformer", "use_transformer"), ("--no-branch1", "use_branch1"),
+                      ("--no-b2-input1", "use_branch2_input1"),
+                      ("--no-b2-input2", "use_branch2_input2")):
+        sp.add_argument(flag, dest=f"model.{key}", action="store_const", const=False)
+    sp.add_argument("--no-augment", dest="train.augment_segments", action="store_const",
+                    const=0)
     sp.set_defaults(func=_cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -508,10 +497,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--preset", choices=dataio.preset_names())
-    sp.add_argument("--split", choices=["session", "kfold"])
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--fold", type=int)
-    sp.add_argument("--split-seed", type=_seed)
+    _add_split_flags(sp)
     sp.add_argument("--features", help="dump pre-classifier features to this tensor file")
     sp.set_defaults(func=_cmd_eval)
 
@@ -538,16 +524,10 @@ def dispatch(argv) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.func(args)
-    except UsageError as exc:
+    except DualTsstError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DualTsstError as exc:  # pragma: no cover - catch-all for new subtypes
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

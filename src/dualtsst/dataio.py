@@ -25,9 +25,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,8 +240,7 @@ class DatasetManifest:
     def validate(self) -> None:
         """Check every field's JSON type and range; a bad one is a DataError."""
         _require(isinstance(self.name, str), "name", self.name, "a string")
-        _require(_is_num(self.fs) and math.isfinite(self.fs) and self.fs > 0, "fs", self.fs,
-                 "a positive finite number")
+        _require(_is_finite(self.fs) and self.fs > 0, "fs", self.fs, "a positive finite number")
         _require(_is_strs(self.channels), "channels", self.channels, "a list of strings")
         _require(_is_int(self.n_classes) and self.n_classes >= 1, "n_classes", self.n_classes,
                  "an integer >= 1")
@@ -251,10 +250,10 @@ class DatasetManifest:
         _require(pre is None or (isinstance(pre, dict) and _is_pair(pre.get("band"))
                                  and _is_pair(pre.get("window"))),
                  "preprocess", pre, "null or an object whose band and window are null "
-                 "or two numbers")
+                 "or two finite numbers")
         freqs = self.tfr.get("freqs") if isinstance(self.tfr, dict) else None
-        _require(self.tfr is None or (isinstance(freqs, list) and all(map(_is_num, freqs))),
-                 "tfr", self.tfr, "null or an object whose freqs are a list of numbers")
+        _require(self.tfr is None or (isinstance(freqs, list) and all(map(_is_finite, freqs))),
+                 "tfr", self.tfr, "null or an object whose freqs are a list of finite numbers")
         if not self.trials:
             raise DataError("manifest lists no trials")
         for t in self.trials:
@@ -275,14 +274,19 @@ def _is_num(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_finite(value) -> bool:
+    """A number a float64 holds: not NaN, not infinite, no integer beyond its range."""
+    return _is_num(value) and abs(value) <= sys.float_info.max
+
+
 def _is_strs(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _is_pair(value) -> bool:
-    """null, or two numbers (a band in Hz or a window in seconds)."""
+    """null, or two finite numbers (a band in Hz or a window in seconds)."""
     return value is None or (isinstance(value, (list, tuple)) and len(value) == 2
-                             and all(map(_is_num, value)))
+                             and all(map(_is_finite, value)))
 
 
 def _require(ok: bool, field: str, value, expected: str) -> None:
@@ -333,7 +337,7 @@ class SplitPlan:
     and holds out fold ``fold``.
     """
 
-    mode: str = "session"
+    mode: str = "kfold"
     k: int = 5
     fold: int = 0
     seed: int = 0

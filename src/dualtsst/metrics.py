@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +174,7 @@ class EvalReport:
     n: int
     class_names: list
     config: dict | None = None
-    extra: dict = field(default_factory=dict)
+    subjects: dict | None = None  # subject_summary, when the trials span several subjects
 
 
 def evaluate_predictions(y_true, y_pred, class_names, config=None) -> EvalReport:
@@ -208,7 +208,8 @@ def export_report(report: EvalReport, out_dir) -> tuple:
         "class_names": report.class_names,
         "config": report.config,
     }
-    payload.update(report.extra)
+    if report.subjects is not None:
+        payload["subjects"] = report.subjects
     with atomic_open(json_path) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path

@@ -220,13 +220,16 @@ def test_transform_non_finite_setting_is_a_one_line_error(tmp_path, mini_data, c
 def test_train_on_a_manifest_with_an_infinite_window_exits_2(tmp_path, mini_data, capsys):
     data = tmp_path / "d"
     shutil.copytree(mini_data, data)
-    manifest = dataio.load_manifest(data)
-    manifest.preprocess = {"band": None, "window": [0.0, math.inf]}
-    dataio.save_manifest(data, manifest)
-    assert "Infinity" in (data / "manifest.json").read_text()
+    path = data / "manifest.json"
+    raw = json.loads(path.read_text())
+    raw["preprocess"] = {"band": None, "window": [0.0, math.inf]}
+    path.write_text(json.dumps(raw))
+    assert "Infinity" in path.read_text()
     out = tmp_path / "run"
     assert dispatch(train_args(data, out)) == 2
-    assert capsys.readouterr().err == "error: invalid window [0.0, inf]\n"
+    assert capsys.readouterr().err == (
+        f"error: {path}: preprocess must be null or an object whose band and window are "
+        "null or two finite numbers, got {'band': None, 'window': [0.0, inf]}\n")
     assert not out.exists()
 
 
@@ -548,6 +551,78 @@ def test_ablation_flags(tmp_path, mini_data):
     assert resolved["train"]["augment_segments"] == 0
 
 
+# flags, the config key they set, its value at the mini preset, in the config file, and
+# the value the run resolves: the flag's, or the config file's when no flag is given
+PRECEDENCE = [
+    pytest.param([], "train.epochs", 200, 2, 2, id="no-flag"),
+    pytest.param(["--epochs", "1"], "train.epochs", 200, 2, 1, id="epochs"),
+    pytest.param(["--seed", "5"], "train.seed", 0, 3, 5, id="seed"),
+    pytest.param(["--split", "kfold"], "split.mode", "kfold", "session", "kfold", id="split"),
+    pytest.param(["--k", "2"], "split.k", 3, 4, 2, id="k"),
+    pytest.param(["--fold", "2"], "split.fold", 0, 1, 2, id="fold"),
+    pytest.param(["--split-seed", "2"], "split.seed", 0, 1, 2, id="split-seed"),
+    pytest.param(["--no-transformer"], "model.use_transformer", True, True, False,
+                 id="no-transformer"),
+    pytest.param(["--no-branch1"], "model.use_branch1", True, True, False, id="no-branch1"),
+    pytest.param(["--no-b2-input1"], "model.use_branch2_input1", True, True, False,
+                 id="no-b2-input1"),
+    pytest.param(["--no-b2-input2"], "model.use_branch2_input2", True, True, False,
+                 id="no-b2-input2"),
+    pytest.param(["--no-augment"], "train.augment_segments", 8, 4, 0, id="no-augment"),
+]
+
+
+@pytest.mark.parametrize("flags,key,preset_value,config_value,want", PRECEDENCE)
+def test_flags_beat_the_config_file_which_beats_the_preset(tmp_path, mini_data, monkeypatch,
+                                                           flags, key, preset_value,
+                                                           config_value, want):
+    # resolved_config.json is written before training starts, so none is needed
+    monkeypatch.setattr(training, "train_loop", lambda *a, **kw: training.TrainResult(
+        log=[], best_epoch=None, best_test_acc=None))
+    section, field = key.split(".")
+
+    def resolved(out, extra=()):
+        assert dispatch(["train", "--data", str(mini_data), "--out", str(out),
+                         "--preset", "mini", "--quiet", *extra]) == 0
+        return json.loads((out / "resolved_config.json").read_text())[section][field]
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {field: config_value}}))
+    assert resolved(tmp_path / "preset") == preset_value
+    assert resolved(tmp_path / "run", ["--config", str(config), *flags]) == want
+
+
+def test_eval_split_flags_beat_the_preset(tmp_path, mini_data):
+    out = tmp_path / "e"
+    assert dispatch(["eval", "--model", str(mini_checkpoint(tmp_path / "m.dtss")),
+                     "--data", str(mini_data), "--out", str(out), "--preset", "mini",
+                     "--k", "4", "--fold", "3", "--split-seed", "2"]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["split"] == {"mode": "kfold", "k": 4, "fold": 3, "seed": 2}
+
+
+def test_an_empty_config_split_mode_exits_2(tmp_path, mini_data, capsys):
+    out = tmp_path / "x"
+    assert config_run(mini_data, out, {"split": {"mode": ""}}) == 2
+    assert capsys.readouterr().err == "error: unknown split mode ''\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,groups", [
+    ("train", ["[--seed SEED]", "[--epochs EPOCHS]", "[--split {session,kfold}]", "[--k K]",
+               "[--fold FOLD]", "[--split-seed SPLIT_SEED]", "[--no-transformer]",
+               "[--no-augment]"]),
+    ("eval", ["[--split {session,kfold}]", "[--k K]", "[--fold FOLD]",
+              "[--split-seed SPLIT_SEED]"]),
+])
+def test_help_usage_keeps_each_flag_metavar(capsys, command, groups):
+    with pytest.raises(SystemExit) as info:
+        dispatch([command, "--help"])
+    assert info.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert all(group in usage for group in groups), usage
+
+
 def test_all_branches_disabled_exits_2(tmp_path, mini_data, trials_read):
     code = dispatch(train_args(mini_data, tmp_path / "none", extra=[
         "--no-branch1", "--no-b2-input1", "--no-b2-input2"]))
@@ -633,7 +708,8 @@ def test_eval_scores_each_subject_the_manifest_tags(tmp_path, mini_data):
     assert sorted(per_subject) == ["s1", "s2"]
     assert sum(v["n"] for v in per_subject.values()) == report["n"]
     kappas = [per_subject[s]["kappa"] for s in ("s1", "s2")]
-    assert report["kappa_mean"] == report["subjects"]["kappa_mean"] == float(np.mean(kappas))
+    assert report["subjects"]["kappa_mean"] == float(np.mean(kappas))
+    assert "kappa_mean" not in report  # each score once: the subject means are in "subjects"
     assert not {"kappa_pooled", "accuracy_pooled"} & (set(report) | set(report["subjects"]))
     cm = np.loadtxt(out / "confusion.csv", delimiter=",", skiprows=1, dtype=np.int64)
     assert report["kappa"] == metrics.kappa(cm) and report["accuracy"] == metrics.accuracy(cm)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -419,6 +420,7 @@ def _set(path, value):
     pytest.param(_set(("n_classes",), "2"), id="n_classes-string"),
     pytest.param(_set(("fs",), "abc"), id="fs-string"),
     pytest.param(_set(("fs",), -128.0), id="fs-negative"),
+    pytest.param(_set(("fs",), 10**400), id="fs-beyond-float64"),
     pytest.param(_set(("tfr",), {"freqs": "ab"}), id="tfr-freqs-string"),
     pytest.param(_set(("trials", 0, "file"), 5), id="file-number"),
     pytest.param(_set(("preprocess",), {"band": [1, 2, 3], "window": None}), id="band-three"),
@@ -435,6 +437,30 @@ def test_malformed_manifest_is_a_one_line_data_error(tmp_path, edit):
         dataio.load_manifest(tmp_path)
     message = str(info.value)
     assert str(path) in message and "\n" not in message
+
+
+@pytest.mark.parametrize("field,key,value", [
+    pytest.param("tfr", "freqs", [math.nan, 8.0, 12.0], id="freq-nan"),
+    pytest.param("preprocess", "band", [0.0, math.inf], id="band-inf"),
+    pytest.param("preprocess", "window", [-math.inf, 1.0], id="window-inf"),
+    pytest.param("preprocess", "window", [0, 10**400], id="window-beyond-float64"),
+])
+def test_non_finite_manifest_value_is_a_one_line_data_error(tmp_path, field, key, value):
+    make_dataset(tmp_path, n_per_class=1)
+    path = tmp_path / "manifest.json"
+    before = path.read_bytes()
+    raw = json.loads(before)
+    raw[field] = {**(raw[field] or {"band": None, "window": None}), key: value}
+    with pytest.raises(DataError) as saved:
+        dataio.save_manifest(tmp_path, dataclasses.replace(dataio.load_manifest(tmp_path),
+                                                           **{field: raw[field]}))
+    assert path.read_bytes() == before
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError) as loaded:
+        dataio.load_manifest(tmp_path)
+    assert str(loaded.value).startswith(f"{path}: {field} must be ")
+    for info in (saved, loaded):
+        assert "finite numbers" in str(info.value) and "\n" not in str(info.value)
 
 
 @pytest.fixture(scope="module")
