@@ -59,26 +59,32 @@ def _environment() -> dict:
     }
 
 
-def _seed(text) -> int:
-    """argparse type of every seed flag: numpy seeds must be >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _number(cast, low=-math.inf, strict=False):
+    """argparse type: a finite ``cast`` value at or above ``low`` (above it if ``strict``)."""
+    what = "an integer" if cast is int else "a finite number"
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+
+    def parse(text):
+        value = cast(text)
+        if not (abs(value) < math.inf and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"must be {what}{bound}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # a bad literal reads "invalid int value: '2.5'"
+    return parse
 
 
-def _parse_window(text):
-    if text is None:
-        return None
+def _span(text) -> tuple[float, float]:
+    """argparse type of ``--window``/``--band``: 'start:end' as two floats."""
     try:
         lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
-        raise UsageError(f"cannot parse window {text!r}; expected 'start:end' seconds")
+        raise argparse.ArgumentTypeError(f"expected 'start:end', got {text!r}")
     return (lo, hi)
 
 
-def _parse_classes(text):
-    """'8:0+1,20:2+3' -> two classes; channels default to all when omitted."""
+def _classes(text) -> list:
+    """argparse type of ``--classes``: '8:0+1,20:2+3' -> two classes; channels
+    default to all when omitted."""
     classes = []
     for part in text.split(","):
         freq_s, colon, ch_s = part.partition(":")
@@ -86,7 +92,7 @@ def _parse_classes(text):
             channels = tuple(int(c) for c in ch_s.split("+")) if colon else None
             classes.append(dataio.SynthClass(float(freq_s), channels))
         except ValueError:
-            raise UsageError(f"cannot parse class spec {part!r}")
+            raise argparse.ArgumentTypeError(f"cannot parse class spec {part!r}")
     return classes
 
 
@@ -115,25 +121,18 @@ def _cmd_synth(args) -> int:
     p = dataio.preset(args.preset) if args.preset else None
     ch = args.ch if args.ch is not None else (p.n_channels if p else 4)
     fs = args.fs if args.fs is not None else (p.fs if p else 128.0)
-    if not 0 < fs < float("inf"):
-        raise UsageError(f"--fs must be a positive finite number, got {fs}")
     n_times = args.t if args.t is not None else (p.n_times if p else 64)
     if args.t is None and p is not None and p.window:
         n_times = round(p.window[1] * fs)  # recordings reach the end of the preset's window
+        if n_times < 1:
+            raise UsageError(f"preset {args.preset}'s window ends at {p.window[1]} s, "
+                             f"under one sample at --fs {fs}; give --t")
     if args.classes:
-        classes = _parse_classes(args.classes)
+        classes = args.classes
     elif p is not None and p.synth_classes:
         classes = list(p.synth_classes)
     else:
         raise UsageError("--classes is required unless the preset defines them")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if ch < 1:
-        raise UsageError(f"--ch must be >= 1, got {ch}")
-    if n_times < 1:
-        raise UsageError(f"--t must be >= 1, got {n_times}")
-    if not 0 <= args.noise < float("inf"):
-        raise UsageError(f"--noise must be a finite number >= 0, got {args.noise}")
     ts = dataio.synth(args.n, ch, n_times, fs, classes, noise=args.noise, seed=args.seed)
     dataio.write_dataset(args.out, ts, name=args.name)
     _write_resolved(args.out, {
@@ -156,13 +155,8 @@ def _cmd_transform(args) -> int:
     freq_lo = args.freq_lo if args.freq_lo is not None else (p.freq_lo if p else 1.0)
     freq_hi = args.freq_hi if args.freq_hi is not None else (p.freq_hi if p else 40.0)
     freq_step = args.freq_step if args.freq_step is not None else (p.freq_step if p else 1.0)
-    if not 0 < freq_step < float("inf"):
-        raise UsageError(f"--freq-step must be a positive finite number, got {freq_step}")
-    for flag, value in (("--freq-lo", freq_lo), ("--freq-hi", freq_hi)):
-        if not math.isfinite(value):
-            raise UsageError(f"{flag} must be a finite number, got {value}")
-    window = _parse_window(args.window) if args.window else (p.window if p else None)
-    band = _parse_window(args.band) if args.band else (p.band if p else None)
+    window = args.window or (p.window if p else None)
+    band = args.band or (p.band if p else None)
     freqs = np.arange(freq_lo, freq_hi + 1e-9, freq_step)
     written = dataio.transform_dataset(args.data, freqs, band=band, window=window,
                                        force=args.force)
@@ -177,8 +171,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
     manifest = dataio.load_manifest(args.data)
     n_times = _first_trial(args.data, manifest).n_times
     if not 1 <= args.r <= n_times:
@@ -402,8 +394,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.batch < 1:
-        raise UsageError(f"--batch must be >= 1, got {args.batch}")
     p = dataio.preset(args.preset)
     cfg = config_from_preset(p)
     rng = np.random.default_rng(args.seed)
@@ -436,7 +426,7 @@ def _add_split_flags(sp) -> None:
     sp.add_argument("--split", dest="split.mode", choices=["session", "kfold"])
     sp.add_argument("--k", dest="split.k", metavar="K", type=int)
     sp.add_argument("--fold", dest="split.fold", metavar="FOLD", type=int)
-    sp.add_argument("--split-seed", dest="split.seed", metavar="SPLIT_SEED", type=_seed)
+    sp.add_argument("--split-seed", dest="split.seed", metavar="SPLIT_SEED", type=_number(int, 0))
 
 
 def build_parser() -> _Parser:
@@ -446,24 +436,25 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
     sp.add_argument("--out", required=True)
     sp.add_argument("--preset", choices=dataio.preset_names())
-    sp.add_argument("--classes", help="e.g. '8:0+1,20:2+3' (freq Hz : channel list)")
-    sp.add_argument("--n", type=int, default=48, help="trials per class")
-    sp.add_argument("--ch", type=int)
-    sp.add_argument("--t", type=int, help="samples per trial")
-    sp.add_argument("--fs", type=float)
-    sp.add_argument("--noise", type=float, default=0.5)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--classes", type=_classes,
+                    help="e.g. '8:0+1,20:2+3' (freq Hz : channel list)")
+    sp.add_argument("--n", type=_number(int, 1), default=48, help="trials per class")
+    sp.add_argument("--ch", type=_number(int, 1))
+    sp.add_argument("--t", type=_number(int, 1), help="samples per trial")
+    sp.add_argument("--fs", type=_number(float, 0, strict=True))
+    sp.add_argument("--noise", type=_number(float, 0), default=0.5)
+    sp.add_argument("--seed", type=_number(int, 0), default=0)
     sp.add_argument("--name", default="synth")
     sp.set_defaults(func=_cmd_synth)
 
     sp = sub.add_parser("transform", help="compute Morlet TFR sidecars")
     sp.add_argument("--data", required=True)
     sp.add_argument("--preset", choices=dataio.preset_names())
-    sp.add_argument("--freq-lo", type=float)
-    sp.add_argument("--freq-hi", type=float)
-    sp.add_argument("--freq-step", type=float)
-    sp.add_argument("--window", help="epoch window 'start:end' in seconds")
-    sp.add_argument("--band", help="bandpass 'lo:hi' in Hz")
+    sp.add_argument("--freq-lo", type=_number(float))
+    sp.add_argument("--freq-hi", type=_number(float))
+    sp.add_argument("--freq-step", type=_number(float, 0, strict=True))
+    sp.add_argument("--window", type=_span, help="epoch window 'start:end' in seconds")
+    sp.add_argument("--band", type=_span, help="bandpass 'lo:hi' in Hz")
     sp.add_argument("--force", action="store_true", help="recompute existing sidecars")
     sp.set_defaults(func=_cmd_transform)
 
@@ -471,16 +462,17 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--r", type=int, required=True, help="segments per trial")
-    sp.add_argument("--count", type=int, default=32)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--count", type=_number(int, 1), default=32)
+    sp.add_argument("--seed", type=_number(int, 0), default=0)
     sp.set_defaults(func=_cmd_augment)
 
     sp = sub.add_parser("train", help="train a model")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--config", help="JSON file with 'model'/'train' sections")
+    sp.add_argument("--config", help="JSON file with 'model'/'train'/'split' sections, "
+                    "a 'preset' and a 'seed'")
     sp.add_argument("--preset", choices=dataio.preset_names())
-    sp.add_argument("--seed", dest="train.seed", metavar="SEED", type=_seed)
+    sp.add_argument("--seed", dest="train.seed", metavar="SEED", type=_number(int, 0))
     sp.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int)
     _add_split_flags(sp)
     sp.add_argument("--quiet", action="store_true")
@@ -509,8 +501,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     sp.add_argument("--preset", default="mini", choices=dataio.preset_names())
-    sp.add_argument("--seed", type=_seed, default=1)
-    sp.add_argument("--batch", type=int, default=2)
+    sp.add_argument("--seed", type=_number(int, 0), default=1)
+    sp.add_argument("--batch", type=_number(int, 1), default=2)
     sp.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -254,6 +254,12 @@ class DatasetManifest:
         freqs = self.tfr.get("freqs") if isinstance(self.tfr, dict) else None
         _require(self.tfr is None or (isinstance(freqs, list) and all(map(_is_finite, freqs))),
                  "tfr", self.tfr, "null or an object whose freqs are a list of finite numbers")
+        for field, value, known in (("preprocess", pre, {"band", "window"}),
+                                    ("tfr", self.tfr, {"freqs", "suffix"})):
+            keys = sorted(value or ())
+            _require(set(keys) <= known, f"{field} keys", keys, f"among {sorted(known)}")
+        suffix = (self.tfr or {}).get("suffix", TFR_SUFFIX)
+        _require(suffix == TFR_SUFFIX, "tfr.suffix", suffix, repr(TFR_SUFFIX))
         if not self.trials:
             raise DataError("manifest lists no trials")
         for t in self.trials:

@@ -68,13 +68,14 @@ def cosine_lr(t_cur: float, lr_max: float, lr_min: float, cycle: int) -> float:
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t_cur / cycle))
 
 
-def init_rng_for_seed(seed: int) -> np.random.Generator:
-    """Parameter-initialisation stream for a run seed.
+def _streams(seed: int) -> list[np.random.Generator]:
+    """A run seed's three independent streams: shuffle, augment, parameter init."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
-    The loop itself consumes spawn children 0 (shuffle) and 1 (augment) of
-    the same root, so initialisation takes child 2 and never collides.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+
+def init_rng_for_seed(seed: int) -> np.random.Generator:
+    """Parameter-initialisation stream for a run seed (the third of ``_streams``)."""
+    return _streams(seed)[2]
 
 
 @dataclass
@@ -173,10 +174,7 @@ def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,
             f"augment_segments={cfg.augment_segments} exceeds trial length {train_set.n_times}"
         )
 
-    ss = np.random.SeedSequence(cfg.seed)
-    shuffle_ss, augment_ss = ss.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    augment_rng = np.random.default_rng(augment_ss)
+    shuffle_rng, augment_rng, _ = _streams(cfg.seed)
 
     state = TrainState()
     logs: list[EpochLog] = []

@@ -151,6 +151,8 @@ def test_augment_segments_out_of_range_exits_2(tmp_path, mini_data, capsys, tria
                  id="freq-step-zero"),
     pytest.param(["transform", "--preset", "mini", "--freq-step", "inf"], "--freq-step",
                  id="freq-step-inf"),
+    pytest.param(["transform", "--preset", "mini", "--band", "8-30"],
+                 "argument --band: expected 'start:end', got '8-30'", id="band-dash"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "x"
@@ -158,6 +160,85 @@ def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     assert dispatch(argv + target) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def mini_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m.dtss"
+    DualTsstModel(config_from_preset(dataio.preset("mini")),
+                  rng=np.random.default_rng(0)).save(path)
+    return path
+
+
+SWEPT_FLAGS = {
+    "synth": ["--n", "--ch", "--t", "--fs", "--noise", "--seed", "--classes"],
+    "transform": ["--freq-lo", "--freq-hi", "--freq-step", "--window", "--band"],
+    "augment": ["--r", "--count", "--seed"],
+    "train": ["--seed", "--epochs", "--k", "--fold", "--split-seed"],
+    "eval": ["--k", "--fold", "--split-seed"],
+    "gradcheck": ["--seed", "--batch"],
+}
+
+
+# bounds, not sizes: a finite frequency grid too large to build (say
+# --freq-step 1e-12) is not among these values
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "1e400", "2.5", "x"])
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in SWEPT_FLAGS.items() for flag in flags])
+def test_every_numeric_flag_value_exits_0_1_or_2(tmp_path, mini_data, mini_model, capsys,
+                                                 command, flag, value):
+    data, out = tmp_path / "d", tmp_path / "out"
+    shutil.copytree(mini_data, data)
+    before = {f: f.read_bytes() for f in data.rglob("*") if f.is_file()}
+    argv = {
+        "synth": ["synth", "--preset", "mini", "--n", "1", "--out", str(out)],
+        "transform": ["transform", "--preset", "mini", "--data", str(data)],
+        "augment": ["augment", "--data", str(data), "--r", "8", "--count", "2",
+                    "--out", str(out)],
+        "train": ["train", "--data", str(data), "--preset", "mini", "--epochs", "1",
+                  "--quiet", "--out", str(out)],
+        "eval": ["eval", "--model", str(mini_model), "--data", str(data), "--preset", "mini",
+                 "--out", str(out)],
+        "gradcheck": ["gradcheck", "--preset", "mini", "--batch", "1"],
+    }[command]
+    code = dispatch(argv + [flag, value])
+    assert code in (0, 1, 2)
+    if code:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
+    if code == 1:  # a usage error is the parser's, and names the flag
+        assert err.startswith(f"error: dualtsst {command}: argument {flag}: ")
+
+
+def test_synth_preset_window_under_one_sample_exits_1(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert dispatch(["synth", "--out", str(out), "--preset", "bci2a", "--classes", "8",
+                     "--fs", "0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "error: preset bci2a's window ends at 6.0 s, under one sample at --fs 0.01; "
+        "give --t\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("train", "--epochs", "0", "epochs and batch_size must be >= 1"),
+    ("train", "--k", "1", "kfold needs k >= 2"),
+    ("train", "--fold", "9", "fold 9 out of range for k=3"),
+    ("eval", "--k", "1", "kfold needs k >= 2"),
+    ("eval", "--fold", "9", "fold 9 out of range for k=3"),
+])
+def test_config_owned_flag_bounds_exit_2(tmp_path, mini_data, mini_model, capsys, command,
+                                         flag, value, message):
+    """These bounds belong to TrainConfig/SplitPlan, so a config file meets the same ones."""
+    out = tmp_path / "x"
+    argv = {"train": train_args(mini_data, out),
+            "eval": ["eval", "--model", str(mini_model), "--data", str(mini_data),
+                     "--preset", "mini", "--out", str(out)]}[command]
+    assert dispatch(argv + [flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -196,12 +277,12 @@ def test_synth_preset_writes_what_its_transform_reads(tmp_path, name):
 
 
 @pytest.mark.parametrize("flag,value,code,message", [
-    pytest.param("--freq-hi", "inf", 1, "--freq-hi must be a finite number, got inf",
-                 id="freq-hi-inf"),
-    pytest.param("--freq-lo", "nan", 1, "--freq-lo must be a finite number, got nan",
-                 id="freq-lo-nan"),
-    pytest.param("--freq-hi", "nan", 1, "--freq-hi must be a finite number, got nan",
-                 id="freq-hi-nan"),
+    pytest.param("--freq-hi", "inf", 1, "dualtsst transform: argument --freq-hi: "
+                 "must be a finite number, got inf", id="freq-hi-inf"),
+    pytest.param("--freq-lo", "nan", 1, "dualtsst transform: argument --freq-lo: "
+                 "must be a finite number, got nan", id="freq-lo-nan"),
+    pytest.param("--freq-hi", "nan", 1, "dualtsst transform: argument --freq-hi: "
+                 "must be a finite number, got nan", id="freq-hi-nan"),
     pytest.param("--window", "0:inf", 2, "invalid window [0.0, inf]", id="window-inf"),
     pytest.param("--window", "0:1e307", 2, "invalid window [0.0, 1e+307]",
                  id="window-overflows-samples"),
@@ -340,6 +421,7 @@ def test_train_kernel_or_pool_below_minimum_exits_2(tmp_path, mini_data, capsys,
 
 @pytest.mark.parametrize("field,value", [
     ("weight_decay", -5.0), ("lr_max", math.inf), ("weight_decay", math.nan),
+    ("cycle_epochs", 0), ("batch_size", 0), ("augment_segments", -1), ("dtype", "float16"),
 ])
 def test_train_bad_optimiser_value_exits_2(tmp_path, mini_data, capsys, monkeypatch,
                                            field, value):
@@ -375,6 +457,8 @@ def test_train_unknown_config_key_exits_2(tmp_path, mini_data, capsys):
     pytest.param({"split": {"k": "x"}}, id="split-field-string"),
     pytest.param({"split": {"folds": 3}}, id="split-unknown-key"),
     pytest.param({"preset": ["mini"]}, id="preset-not-string"),
+    pytest.param([], id="not-an-object"),
+    pytest.param({"junk": 1}, id="unknown-top-level-key"),
 ])
 def test_train_malformed_config_exits_2(tmp_path, mini_data, capsys, config):
     cfg = tmp_path / "bad.json"
@@ -385,6 +469,31 @@ def test_train_malformed_config_exits_2(tmp_path, mini_data, capsys, config):
                      "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(cfg) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda path: None, id="missing"),
+    pytest.param(lambda path: path.write_text("{"), id="invalid-json"),
+    pytest.param(lambda path: path.mkdir(), id="a-directory"),
+])
+def test_train_unreadable_config_exits_2(tmp_path, mini_data, capsys, write):
+    cfg = tmp_path / "c.json"
+    write(cfg)
+    out = tmp_path / "x"
+    assert dispatch(train_args(mini_data, out, extra=["--config", str(cfg)])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split,message", [
+    ({"k": 1}, "kfold needs k >= 2"), ({"fold": 3}, "fold 3 out of range for k=3"),
+])
+def test_train_config_split_out_of_range_exits_2(tmp_path, mini_data, capsys, split, message):
+    out = tmp_path / "x"
+    assert config_run(mini_data, out, {"split": split}) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -463,6 +463,40 @@ def test_non_finite_manifest_value_is_a_one_line_data_error(tmp_path, field, key
         assert "finite numbers" in str(info.value) and "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("field,key,value,named", [
+    pytest.param("tfr", "suffix", ".nope", "tfr.suffix", id="tfr-suffix"),
+    pytest.param("tfr", "extra", 1, "'extra'", id="tfr-unknown-key"),
+    pytest.param("preprocess", "junk", None, "'junk'", id="preprocess-unknown-key"),
+])
+def test_manifest_key_it_would_not_read_is_a_one_line_data_error(tmp_path, field, key, value,
+                                                                 named):
+    make_dataset(tmp_path, n_per_class=1)
+    path = tmp_path / "manifest.json"
+    before = path.read_bytes()
+    raw = json.loads(before)
+    raw[field] = {**raw[field], key: value}
+    with pytest.raises(DataError) as saved:
+        dataio.save_manifest(tmp_path, dataclasses.replace(dataio.load_manifest(tmp_path),
+                                                           **{field: raw[field]}))
+    assert path.read_bytes() == before
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError) as loaded:
+        dataio.load_manifest(tmp_path)
+    assert str(loaded.value).startswith(f"{path}: {field}")
+    for info in (saved, loaded):
+        assert named in str(info.value) and "\n" not in str(info.value)
+
+
+def test_manifest_without_band_or_window_reads_them_as_null(tmp_path):
+    make_dataset(tmp_path, n_per_class=1)
+    path = tmp_path / "manifest.json"
+    raw = json.loads(path.read_text())
+    raw["preprocess"] = {}
+    del raw["tfr"]["suffix"]
+    path.write_text(json.dumps(raw))
+    assert len(dataio.load_trialset(tmp_path, require_tfr=True)) == 2
+
+
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
     """A small dataset with sidecars and a mini checkpoint: the dataset root,
