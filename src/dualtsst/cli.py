@@ -117,31 +117,34 @@ def _check_fits(cfg: ModelConfig, trials: dataio.TrialSet) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _preset_settings(args, preset, **fallbacks) -> dict:
+    """The ``synth``/``transform`` settings named in ``fallbacks``: the preset's field
+    of each name (without a preset, its fallback), then every given flag's over it
+    (each flag's dest is the field it overrides)."""
+    settings = {key: getattr(preset, key) for key in fallbacks} if preset else fallbacks
+    settings.update((key, getattr(args, key)) for key in fallbacks
+                    if getattr(args, key) is not None)
+    return settings
+
+
 def _cmd_synth(args) -> int:
     p = dataio.preset(args.preset) if args.preset else None
-    ch = args.ch if args.ch is not None else (p.n_channels if p else 4)
-    fs = args.fs if args.fs is not None else (p.fs if p else 128.0)
-    n_times = args.t if args.t is not None else (p.n_times if p else 64)
-    if args.t is None and p is not None and p.window:
-        n_times = round(p.window[1] * fs)  # recordings reach the end of the preset's window
-        if n_times < 1:
+    s = _preset_settings(args, p, n_channels=4, n_times=64, fs=128.0, synth_classes=None)
+    if args.n_times is None and p is not None and p.window:
+        s["n_times"] = round(p.window[1] * s["fs"])  # recordings reach the end of the window
+        if s["n_times"] < 1:
             raise UsageError(f"preset {args.preset}'s window ends at {p.window[1]} s, "
-                             f"under one sample at --fs {fs}; give --t")
-    if args.classes:
-        classes = args.classes
-    elif p is not None and p.synth_classes:
-        classes = list(p.synth_classes)
-    else:
+                             f"under one sample at --fs {s['fs']}; give --t")
+    if not s["synth_classes"]:
         raise UsageError("--classes is required unless the preset defines them")
-    ts = dataio.synth(args.n, ch, n_times, fs, classes, noise=args.noise, seed=args.seed)
+    classes = list(s.pop("synth_classes"))
+    ts = dataio.synth(args.n, classes=classes, noise=args.noise, seed=args.seed, **s)
     dataio.write_dataset(args.out, ts, name=args.name)
     _write_resolved(args.out, {
         "command": "synth",
         "preset": args.preset,
         "n_per_class": args.n,
-        "n_channels": ch,
-        "n_times": n_times,
-        "fs": fs,
+        **s,
         "classes": [{"freq": c.freq, "channels": c.channels} for c in classes],
         "noise": args.noise,
         "seed": args.seed,
@@ -152,20 +155,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_transform(args) -> int:
     p = dataio.preset(args.preset) if args.preset else None
-    freq_lo = args.freq_lo if args.freq_lo is not None else (p.freq_lo if p else 1.0)
-    freq_hi = args.freq_hi if args.freq_hi is not None else (p.freq_hi if p else 40.0)
-    freq_step = args.freq_step if args.freq_step is not None else (p.freq_step if p else 1.0)
-    window = args.window or (p.window if p else None)
-    band = args.band or (p.band if p else None)
-    freqs = np.arange(freq_lo, freq_hi + 1e-9, freq_step)
-    written = dataio.transform_dataset(args.data, freqs, band=band, window=window,
-                                       force=args.force)
-    _write_resolved(args.data, {
-        "command": "transform",
-        "freqs": [float(f) for f in freqs],
-        "band": band,
-        "window": window,
-    })
+    s = _preset_settings(args, p, freq_lo=1.0, freq_hi=40.0, freq_step=1.0, band=None,
+                         window=None)
+    freqs = dataio.freq_grid(s.pop("freq_lo"), s.pop("freq_hi"), s.pop("freq_step"))
+    written = dataio.transform_dataset(args.data, freqs, force=args.force, **s)  # band, window
+    _write_resolved(args.data, {"command": "transform", "freqs": [float(f) for f in freqs], **s})
     print(f"computed {written} TFR sidecars under {args.data}")
     return 0
 
@@ -436,11 +430,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
     sp.add_argument("--out", required=True)
     sp.add_argument("--preset", choices=dataio.preset_names())
-    sp.add_argument("--classes", type=_classes,
+    sp.add_argument("--classes", dest="synth_classes", metavar="CLASSES", type=_classes,
                     help="e.g. '8:0+1,20:2+3' (freq Hz : channel list)")
     sp.add_argument("--n", type=_number(int, 1), default=48, help="trials per class")
-    sp.add_argument("--ch", type=_number(int, 1))
-    sp.add_argument("--t", type=_number(int, 1), help="samples per trial")
+    sp.add_argument("--ch", dest="n_channels", metavar="CH", type=_number(int, 1))
+    sp.add_argument("--t", dest="n_times", metavar="T", type=_number(int, 1),
+                    help="samples per trial")
     sp.add_argument("--fs", type=_number(float, 0, strict=True))
     sp.add_argument("--noise", type=_number(float, 0), default=0.5)
     sp.add_argument("--seed", type=_number(int, 0), default=0)

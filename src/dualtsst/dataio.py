@@ -427,20 +427,23 @@ def write_dataset(dataset_dir, trials: TrialSet, name: str = "dataset",
     return manifest
 
 
-def _read_trial(dataset_dir: Path, file: str, fs: float, preprocess) -> np.ndarray:
-    """Read one raw trial [ch, T] as float64, then apply the ``preprocess``
-    band filter and window (each None to skip)."""
+def _read_trial(dataset_dir: Path, manifest: DatasetManifest, file: str, preprocess) -> np.ndarray:
+    """Read one raw trial [ch, T] of ``manifest`` as float64, then apply the
+    ``preprocess`` band filter and window (each None to skip)."""
     path = dataset_dir / file
     if not path.exists():
         raise DataError(f"missing trial file {path}")
     x = read_array(path).astype(np.float64)
     if x.ndim != 2:
         raise DataError(f"{file}: trial must be [ch, T], got {x.shape}")
+    if len(x) != len(manifest.channels):
+        raise DataError(f"{file}: trial has {len(x)} channels, the manifest's channels "
+                        f"lists {len(manifest.channels)}")
     pre = preprocess or {}
     if pre.get("band") is not None:
-        x = signal.bandpass_array(x, fs, *pre["band"])
+        x = signal.bandpass_array(x, manifest.fs, *pre["band"])
     if pre.get("window") is not None:
-        x = signal.epoch_array(x, fs, *pre["window"])
+        x = signal.epoch_array(x, manifest.fs, *pre["window"])
     return x
 
 
@@ -469,7 +472,7 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
         out_path = _tfr_path(dataset_dir, entry.file)
         if unchanged and out_path.exists() and not force:
             continue
-        x = _read_trial(dataset_dir, entry.file, manifest.fs, preprocess)
+        x = _read_trial(dataset_dir, manifest, entry.file, preprocess)
         power = signal.morlet_power(x, plan)
         if manifest.tfr is not None:
             # sidecars are rewritten in place, so from the first write on the
@@ -507,7 +510,7 @@ def load_trialset(dataset_dir, require_tfr: bool = False, normalize: bool = True
     n_freqs = None if manifest.tfr is None else len(manifest.tfr["freqs"])
     eeg = tfr = None
     for i, entry in enumerate(manifest.trials):
-        x = _read_trial(dataset_dir, entry.file, manifest.fs, manifest.preprocess)
+        x = _read_trial(dataset_dir, manifest, entry.file, manifest.preprocess)
         if i == 0:
             eeg = np.empty((len(manifest.trials), *x.shape))
             tfr = None if n_freqs is None else np.empty((len(eeg), x.shape[0], n_freqs, x.shape[1]))
@@ -621,6 +624,18 @@ def synth(n_per_class: int, n_channels: int, n_times: int, fs: float,
 # ---------------------------------------------------------------------------
 
 
+def freq_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The analysis frequencies ``lo, lo + step, ...`` up to ``hi``, built by
+    ``np.arange`` once its length is known to fit: an empty grid is returned
+    empty, and one longer than a tensor record holds is a DataError."""
+    stop = hi + 1e-9  # keeps hi on the grid despite rounding in the steps
+    length = (stop - lo) / step  # np.arange's length, before its ceil
+    if not length <= _MAX_EXTENT:
+        raise DataError(f"frequency grid {lo:g} to {hi:g} Hz in steps of {step:g} Hz has "
+                        f"over {_MAX_EXTENT} values, more than a tensor record holds")
+    return np.arange(lo, stop, step) if length > 0 else np.empty(0)
+
+
 @dataclass(frozen=True)
 class DatasetPreset:
     """Geometry, preprocessing, and training defaults for a known dataset."""
@@ -643,7 +658,7 @@ class DatasetPreset:
     synth_classes: tuple | None = None
 
     def freqs(self) -> np.ndarray:
-        return np.arange(self.freq_lo, self.freq_hi + 1e-9, self.freq_step)
+        return freq_grid(self.freq_lo, self.freq_hi, self.freq_step)
 
     def split_plan(self) -> SplitPlan:
         return SplitPlan(mode=self.split_mode, k=self.kfold_k)

@@ -182,7 +182,7 @@ SWEPT_FLAGS = {
 
 
 # bounds, not sizes: a finite frequency grid too large to build (say
-# --freq-step 1e-12) is not among these values
+# --freq-step 1e-12) is test_transform_non_finite_setting_is_a_one_line_error's
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "1e400", "2.5", "x"])
 @pytest.mark.parametrize("command,flag", [
     (command, flag) for command, flags in SWEPT_FLAGS.items() for flag in flags])
@@ -286,6 +286,12 @@ def test_synth_preset_writes_what_its_transform_reads(tmp_path, name):
     pytest.param("--window", "0:inf", 2, "invalid window [0.0, inf]", id="window-inf"),
     pytest.param("--window", "0:1e307", 2, "invalid window [0.0, 1e+307]",
                  id="window-overflows-samples"),
+    pytest.param("--freq-lo", "1e20", 2, "frequency grid is empty", id="freq-lo-past-hi"),
+    pytest.param("--freq-hi", "1e12", 2, "frequency grid 4 to 1e+12 Hz in steps of 4 Hz has "
+                 "over 2147483648 values, more than a tensor record holds", id="freq-hi-huge"),
+    pytest.param("--freq-step", "1e-12", 2, "frequency grid 4 to 24 Hz in steps of 1e-12 Hz "
+                 "has over 2147483648 values, more than a tensor record holds",
+                 id="freq-step-tiny"),
 ])
 def test_transform_non_finite_setting_is_a_one_line_error(tmp_path, mini_data, capsys, flag,
                                                           value, code, message):
@@ -296,6 +302,86 @@ def test_transform_non_finite_setting_is_a_one_line_error(tmp_path, mini_data, c
     assert capsys.readouterr().err == f"error: {message}\n"
     assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
     assert len(dataio.load_trialset(data, require_tfr=True)) == 18
+
+
+# flag, its value, the preset, the resolved_config.json key, then the value without a
+# preset (None: the run exits 1), with the preset, and with the preset and the flag
+SYNTH_PRECEDENCE = [
+    pytest.param("--ch", "3", "seed", "n_channels", 4, 62, 3, id="ch"),
+    pytest.param("--t", "100", "seed", "n_times", 64, 200, 100, id="t"),
+    pytest.param("--fs", "100", "seed", "fs", 128.0, 200.0, 100.0, id="fs"),
+    pytest.param("--classes", "10", "mini", "classes", None,
+                 [{"freq": 8.0, "channels": [0, 1]}, {"freq": 20.0, "channels": [2, 3]}],
+                 [{"freq": 10.0, "channels": None}], id="classes"),
+]
+
+
+@pytest.mark.parametrize("flag,value,preset,key,fallback,preset_value,flag_value",
+                         SYNTH_PRECEDENCE)
+def test_synth_flag_beats_the_preset_which_beats_the_fallback(tmp_path, flag, value, preset,
+                                                              key, fallback, preset_value,
+                                                              flag_value):
+    classes = [] if flag == "--classes" else ["--classes", "8,12,16"]  # seed has 3 classes
+
+    def resolved(name, extra=()):
+        out = tmp_path / name
+        assert dispatch(["synth", "--out", str(out), "--n", "1", *classes, *extra]) == 0
+        return json.loads((out / "resolved_config.json").read_text())[key]
+
+    if fallback is None:
+        assert dispatch(["synth", "--out", str(tmp_path / "bare"), "--n", "1"]) == 1
+    else:
+        assert resolved("bare") == fallback
+    assert resolved("preset", ["--preset", preset]) == preset_value
+    assert resolved("flag", ["--preset", preset, flag, value]) == flag_value
+
+
+# as SYNTH_PRECEDENCE, with a reader of the setting from resolved_config.json
+TRANSFORM_PRECEDENCE = [
+    pytest.param("--freq-lo", "8", "mini", lambda r: r["freqs"][0], 1.0, 4.0, 8.0,
+                 id="freq-lo"),
+    pytest.param("--freq-hi", "20", "mini", lambda r: r["freqs"][-1], 40.0, 24.0, 20.0,
+                 id="freq-hi"),
+    pytest.param("--freq-step", "2", "mini", lambda r: r["freqs"][1] - r["freqs"][0], 1.0,
+                 4.0, 2.0, id="freq-step"),
+    pytest.param("--window", "1:3", "bci2a", lambda r: r["window"], None, [2.0, 6.0],
+                 [1.0, 3.0], id="window"),
+    pytest.param("--band", "1:30", "seed", lambda r: r["band"], None, [0.5, 50.0],
+                 [1.0, 30.0], id="band"),
+]
+
+
+@pytest.mark.parametrize("flag,value,preset,read,fallback,preset_value,flag_value",
+                         TRANSFORM_PRECEDENCE)
+def test_transform_flag_beats_the_preset_which_beats_the_fallback(tmp_path, flag, value,
+                                                                  preset, read, fallback,
+                                                                  preset_value, flag_value):
+    # 6 s at 250 Hz: long enough for the bci2a window, fast enough for every preset's grid
+    data = tmp_path / "d"
+    assert dispatch(["synth", "--out", str(data), "--classes", "8,12", "--n", "1",
+                     "--ch", "2", "--t", "1500", "--fs", "250"]) == 0
+
+    def resolved(extra=()):
+        assert dispatch(["transform", "--data", str(data), *extra]) == 0
+        return read(json.loads((data / "resolved_config.json").read_text()))
+
+    assert resolved() == fallback
+    assert resolved(["--preset", preset]) == preset_value
+    assert resolved(["--preset", preset, flag, value]) == flag_value
+
+
+def test_transform_of_a_manifest_whose_channels_do_not_match_exits_2(tmp_path, mini_data,
+                                                                     capsys):
+    data = tmp_path / "d"
+    shutil.copytree(mini_data, data)
+    raw = json.loads((data / "manifest.json").read_text())
+    raw["channels"] = [f"c{i}" for i in range(22)]
+    (data / "manifest.json").write_text(json.dumps(raw))
+    before = {f: f.read_bytes() for f in data.rglob("*") if f.is_file()}
+    assert dispatch(["transform", "--data", str(data), "--preset", "mini", "--force"]) == 2
+    assert capsys.readouterr().err == ("error: trials/trial_0000.eegt: trial has 4 channels, "
+                                       "the manifest's channels lists 22\n")
+    assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
 
 
 def test_train_on_a_manifest_with_an_infinite_window_exits_2(tmp_path, mini_data, capsys):
@@ -718,6 +804,9 @@ def test_an_empty_config_split_mode_exits_2(tmp_path, mini_data, capsys):
 
 
 @pytest.mark.parametrize("command,groups", [
+    ("synth", ["[--classes CLASSES]", "[--ch CH]", "[--t T]", "[--fs FS]"]),
+    ("transform", ["[--freq-lo FREQ_LO]", "[--freq-hi FREQ_HI]", "[--freq-step FREQ_STEP]",
+                   "[--window WINDOW]", "[--band BAND]"]),
     ("train", ["[--seed SEED]", "[--epochs EPOCHS]", "[--split {session,kfold}]", "[--k K]",
                "[--fold FOLD]", "[--split-seed SPLIT_SEED]", "[--no-transformer]",
                "[--no-augment]"]),

@@ -403,6 +403,27 @@ def test_missing_trial_file(tmp_path):
         dataio.load_trialset(tmp_path)
 
 
+@pytest.mark.parametrize("channels", [pytest.param([f"c{i}" for i in range(22)], id="22-names"),
+                                      pytest.param([], id="none")])
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda d: dataio.load_trialset(d, require_tfr=True), id="load"),
+    pytest.param(lambda d: dataio.transform_dataset(d, [4.0, 8.0], force=True), id="transform"),
+])
+def test_a_channel_list_that_does_not_match_the_trials_is_a_data_error(tmp_path, channels,
+                                                                       read):
+    make_dataset(tmp_path, n_per_class=1)  # trials of 4 channels
+    path = tmp_path / "manifest.json"
+    raw = json.loads(path.read_text())
+    raw["channels"] = channels
+    path.write_text(json.dumps(raw))
+    before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+    with pytest.raises(DataError) as info:
+        read(tmp_path)
+    assert str(info.value) == (f"trials/trial_0000.eegt: trial has 4 channels, the manifest's "
+                               f"channels lists {len(channels)}")
+    assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
+
+
 def _set(path, value):
     """Manifest edit: set the JSON value at ``path`` (a tuple of keys)."""
     def edit(raw):
@@ -630,6 +651,26 @@ def test_preset_values():
     seed = dataio.preset("seed")
     assert seed.augment_segments == 0 and seed.n_channels == 62
     assert len(seed.freqs()) == 50
+
+
+def assert_the_arange_grid(got, lo, hi, step):
+    want = np.arange(lo, hi + 1e-9, step)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", dataio.preset_names())
+def test_preset_freqs_are_the_arange_grid_bit_for_bit(name):
+    p = dataio.preset(name)
+    assert_the_arange_grid(p.freqs(), p.freq_lo, p.freq_hi, p.freq_step)
+
+
+# hi lands n steps from lo, nudged by about the 1e-9 the grid adds to keep hi on it
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-50, 200), step=st.floats(1e-2, 20), n=st.integers(-5, 300),
+       nudge=st.sampled_from([0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9, 0.5, -0.5]))
+def test_freq_grid_is_the_arange_grid_bit_for_bit(lo, step, n, nudge):
+    hi = lo + n * step + nudge
+    assert_the_arange_grid(dataio.freq_grid(lo, hi, step), lo, hi, step)
 
 
 @pytest.mark.parametrize("name", [n for n in dataio.preset_names() if dataio.preset(n).window])
