@@ -804,14 +804,14 @@ def test_an_empty_config_split_mode_exits_2(tmp_path, mini_data, capsys):
 
 
 @pytest.mark.parametrize("command,groups", [
-    ("synth", ["[--classes CLASSES]", "[--ch CH]", "[--t T]", "[--fs FS]"]),
-    ("transform", ["[--freq-lo FREQ_LO]", "[--freq-hi FREQ_HI]", "[--freq-step FREQ_STEP]",
-                   "[--window WINDOW]", "[--band BAND]"]),
     ("train", ["[--seed SEED]", "[--epochs EPOCHS]", "[--split {session,kfold}]", "[--k K]",
                "[--fold FOLD]", "[--split-seed SPLIT_SEED]", "[--no-transformer]",
                "[--no-augment]"]),
     ("eval", ["[--split {session,kfold}]", "[--k K]", "[--fold FOLD]",
               "[--split-seed SPLIT_SEED]"]),
+    ("synth", ["[--classes CLASSES]", "[--ch CH]", "[--t T]", "[--fs FS]"]),
+    ("transform", ["[--freq-lo FREQ_LO]", "[--freq-hi FREQ_HI]", "[--freq-step FREQ_STEP]",
+                   "[--window WINDOW]", "[--band BAND]"]),
 ])
 def test_help_usage_keeps_each_flag_metavar(capsys, command, groups):
     with pytest.raises(SystemExit) as info:
