@@ -18,6 +18,12 @@ record; ``pack_record`` writes it and ``ByteCursor.record`` reads it.
 
 The sidecar cache key is the frequency grid plus the band/window used to
 preprocess; changing either invalidates the cache.
+
+Tensor files are rewritten in place and then cut to length (``write_array``),
+never truncated first: a truncate frees every block (on a file system mounted
+with ``discard``, discarding it) for the write to allocate again.  An
+interrupted rewrite can therefore leave a full-length file of new and old
+bytes, so no reader may take a sidecar the manifest does not list.
 """
 
 from __future__ import annotations
@@ -126,14 +132,23 @@ def array_chunks(arr) -> tuple[bytes, bytes]:
 
 
 def write_array(path, arr) -> None:
-    """Write ``array_chunks(arr)`` in place: a failed write leaves a cut file.
-    Transform writes its sidecars so; a rename per file cost 30% at mini."""
+    """Write ``array_chunks(arr)`` over the file's old bytes, then cut the file
+    to the new length.  Truncating first would free every block for the write
+    to allocate again (on a file system mounted with ``discard``, discarding
+    each): that took most of a forced bci2a re-transform.  A rename per file
+    cost 30% at mini.  A failed write leaves a cut file or a full-length one of
+    new and old bytes; the manifest, not the file, says whether it may be read."""
     chunks = array_chunks(arr)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        fh = open(path, "wb")
+    with fh:
         for chunk in chunks:
             fh.write(chunk)
+        fh.truncate()
 
 
 def read_array(path) -> np.ndarray:
@@ -452,7 +467,9 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
 
     ``band``/``window`` are applied to the raw trial before the transform and
     recorded in the manifest so later loads preprocess the EEG identically.
-    Existing sidecars are reused when the recorded settings match.
+    Existing sidecars are reused when the recorded settings match; the others
+    are overwritten in place (``write_array``), so while they are written the
+    manifest lists none of them.
     """
     dataset_dir = Path(dataset_dir)
     manifest = load_manifest(dataset_dir)
@@ -475,10 +492,10 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
         x = _read_trial(dataset_dir, manifest, entry.file, preprocess)
         power = signal.morlet_power(x, plan)
         if manifest.tfr is not None:
-            # sidecars are rewritten in place, so from the first write on the
-            # manifest vouches for none of them until the last one is written:
-            # an interrupted run leaves a dataset that asks for a transform,
-            # never a truncated or mixed cache
+            # a cut in-place write can leave a short sidecar or a full-length
+            # one of new and old bytes, so from the first write on the manifest
+            # lists none of them until the last one is written: an interrupted
+            # run leaves a dataset that asks for a transform
             manifest.tfr = None
             save_manifest(dataset_dir, manifest)
         write_array(out_path, power)

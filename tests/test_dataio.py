@@ -41,6 +41,17 @@ def test_array_known_payload(tmp_path):
     assert blob[-4:] == bytes([0x00, 0x00, 0x00, 0x3F])  # 0.5 as LE float32
 
 
+@pytest.mark.parametrize("extra", [-1000, 0, 1000], ids=["shorter", "equal", "longer"])
+def test_write_array_over_an_old_file_leaves_exactly_the_new_bytes(tmp_path, extra):
+    arr = np.random.default_rng(0).normal(size=(4, 6, 64))
+    blob = b"".join(dataio.array_chunks(arr))
+    path = tmp_path / "x.tfr.eegt"
+    path.write_bytes(b"\xff" * (len(blob) + extra))
+    dataio.write_array(path, arr)
+    assert path.read_bytes() == blob
+    np.testing.assert_array_equal(dataio.read_array(path), arr.astype(np.float32))
+
+
 def test_array_bad_magic(tmp_path):
     path = tmp_path / "bad.eegt"
     path.write_bytes(b"XXXX" + bytes(16))
@@ -210,7 +221,7 @@ def test_interrupted_transform_leaves_a_dataset_that_asks_for_a_transform(tmp_pa
     with pytest.raises(OSError, match="disk full"):
         dataio.transform_dataset(tmp_path, freqs, force=True)
     monkeypatch.delattr(dataio, "open")
-    assert sidecars[2].stat().st_size == 10
+    assert sidecars[2].stat().st_size == sidecars[0].stat().st_size  # cut, at its old length
     assert dataio.load_manifest(tmp_path).tfr is None
     with pytest.raises(DataError, match="transform"):
         dataio.load_trialset(tmp_path, require_tfr=True)
@@ -240,6 +251,41 @@ def test_interrupted_rewrite_leaves_a_dataset_that_does_not_load(tmp_path, monke
         dataio.load_trialset(tmp_path, require_tfr=True)
 
     dataio.write_dataset(tmp_path, new, name="unit")
+    loaded = dataio.load_trialset(tmp_path, normalize=False)
+    assert loaded.tfr is None
+    np.testing.assert_array_equal(loaded.eeg, new.eeg.astype(np.float32))
+
+
+@pytest.mark.parametrize("band", [None, (2.0, 30.0)], ids=["forced", "new-band"])
+def test_a_re_transform_rewrites_old_sidecars_in_place(tmp_path, monkeypatch, band):
+    make_dataset(tmp_path / "old")
+    make_dataset(tmp_path / "fresh", with_tfr=False)
+    freqs = dataio.load_manifest(tmp_path / "old").tfr["freqs"]
+    dataio.transform_dataset(tmp_path / "fresh", freqs, band=band)
+    opened = []
+
+    def spy(path, mode="r", *args, **kw):
+        if str(path).endswith(dataio.TFR_SUFFIX):
+            opened.append((Path(path).exists(), mode))
+        return open(path, mode, *args, **kw)
+
+    monkeypatch.setattr(dataio, "open", spy, raising=False)
+    assert dataio.transform_dataset(tmp_path / "old", freqs, band=band, force=band is None) == 8
+    monkeypatch.delattr(dataio, "open")
+    assert opened == [(True, "r+b")] * 8  # no old sidecar is opened in a truncating mode
+    fresh = sorted((tmp_path / "fresh" / "trials").glob("*" + dataio.TFR_SUFFIX))
+    assert len(fresh) == 8
+    for path in fresh:
+        assert (tmp_path / "old" / "trials" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_write_dataset_over_longer_trials_leaves_files_of_the_new_size(tmp_path):
+    make_dataset(tmp_path)
+    new = dataio.synth(4, 4, 32, 128.0, MINI_CLASSES, noise=0.1, seed=2)
+    dataio.write_dataset(tmp_path, new, name="unit")
+    for i in range(len(new)):
+        path = tmp_path / f"trials/trial_{i:04d}.eegt"
+        assert path.read_bytes() == b"".join(dataio.array_chunks(new.eeg[i]))
     loaded = dataio.load_trialset(tmp_path, normalize=False)
     assert loaded.tfr is None
     np.testing.assert_array_equal(loaded.eeg, new.eeg.astype(np.float32))
