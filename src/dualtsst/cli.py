@@ -21,12 +21,12 @@ import numpy as np
 
 from . import augment as aug
 from . import dataio, metrics, train as training
-from .dataio import _is_int, _is_num
+from .dataio import _is_int
 from .errors import DataError, DualTsstError, NumericalError, UsageError
 from .gradcheck import check_gradients
 from .model import (RETIRED_MODEL_KEYS, DualTsstModel, ModelConfig, config_from_preset,
                     drop_retired)
-from .tensor import cross_entropy, no_grad
+from .tensor import cross_entropy
 
 GRADCHECK_TOL = 1e-3
 # thread-count variables the BLAS libraries numpy links against read at import
@@ -190,15 +190,6 @@ def _cmd_augment(args) -> int:
     return 0
 
 
-# config field annotation -> whether a JSON value fits it
-_JSON_CHECKS = {
-    "int": _is_int,
-    "float": _is_num,
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-}
-
-
 def _load_run_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -226,13 +217,7 @@ def _load_run_config(path) -> dict:
         if not isinstance(raw[section], dict):
             raise DataError(f"{path}: {section} must be a JSON object, got {raw[section]!r}")
         raw[section] = drop_retired(raw[section], retired, f"{path}: {section}.")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        bad = set(raw[section]) - set(types)
-        if bad:
-            raise DataError(f"{path}: unknown {section} keys {sorted(bad)}")
-        for key, value in raw[section].items():
-            if not _JSON_CHECKS[types[key]](value):
-                raise DataError(f"{path}: {section}.{key} must be {types[key]}, got {value!r}")
+        dataio.check_fields(raw[section], cls, f"{path}: {section}.")
     if "seed" in raw:  # the run seed is train.seed; older resolved configs hold both
         seed, train = raw.pop("seed"), raw.setdefault("train", {})
         if train.setdefault("seed", seed) != seed:
@@ -334,9 +319,8 @@ def _cmd_eval(args) -> int:
         report.subjects = metrics.subject_summary(groups, n_classes=len(test_set.class_names))
     metrics.export_report(report, args.out)
     if args.features:
-        with no_grad():
-            feats = model.pooled_features(test_set.eeg, test_set.tfr)
-        features = b"".join(dataio.array_chunks(feats.data))
+        features = b"".join(dataio.array_chunks(training.evaluate(model, test_set,
+                                                                  features=True)))
         with dataio.atomic_open(args.features, "wb") as fh:
             fh.write(features)
     _write_resolved(args.out, {

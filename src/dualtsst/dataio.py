@@ -315,6 +315,25 @@ def _require(ok: bool, field: str, value, expected: str) -> None:
         raise DataError(f"{field} must be {expected}, got {value!r}")
 
 
+# config field annotation -> whether a JSON value fits it
+_JSON_CHECKS = {
+    "int": _is_int,
+    "float": _is_num,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def check_fields(values: dict, cls, prefix: str) -> None:
+    """Every key of ``values`` names a field of dataclass ``cls`` and holds a
+    JSON value of that field's type; ``prefix`` starts each error message."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        if key not in types:
+            raise DataError(f"{prefix}{key} is not a {cls.__name__} field")
+        _require(_JSON_CHECKS[types[key]](value), f"{prefix}{key}", value, types[key])
+
+
 def save_manifest(dataset_dir, manifest: DatasetManifest) -> None:
     manifest.validate()
     payload = dataclasses.asdict(manifest)
@@ -469,7 +488,8 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
     recorded in the manifest so later loads preprocess the EEG identically.
     Existing sidecars are reused when the recorded settings match; the others
     are overwritten in place (``write_array``), so while they are written the
-    manifest lists none of them.
+    manifest lists none of them.  A run that writes no sidecar and changes no
+    setting does not save the manifest.
     """
     dataset_dir = Path(dataset_dir)
     manifest = load_manifest(dataset_dir)
@@ -500,9 +520,10 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
             save_manifest(dataset_dir, manifest)
         write_array(out_path, power)
         written += 1
-    manifest.tfr = settings
-    manifest.preprocess = preprocess
-    save_manifest(dataset_dir, manifest)
+    if written or not unchanged:
+        manifest.tfr = settings
+        manifest.preprocess = preprocess
+        save_manifest(dataset_dir, manifest)
     return written
 
 

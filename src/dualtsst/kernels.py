@@ -31,18 +31,19 @@ A time kernel's spectrum is taken once per kernel value, not once per call
 gradient share one read-only ``conj(rfft(w))`` per kernel array.  It is
 reused only while the array's bit pattern equals a copy kept with it, so
 an in-place edit (gradcheck's perturbations, an optimiser writing in
-place) takes a fresh one, and it is dropped when the kernel array is
-freed, so no spectrum outlives its model.  At bci2a the three kept spectra
-take about 20 MB (7.1 + 12.8 + 0.3 MB) and the kernel copies 2.5 MB.  The
-memo saves a fixed cost per call, the kernels' rFFTs (30-60 ms per eval
-forward at bci2a on 2 vCPU): a third to a half of a one-trial forward, a
-few percent of a 32-trial one.
+place) takes a fresh one, and a ``weakref.finalize`` drops it when the
+kernel array is freed, so no spectrum outlives its model.  At bci2a the
+three kept spectra take about 20 MB (7.1 + 12.8 + 0.3 MB) and the kernel
+copies 2.5 MB.  The memo saves a fixed cost per call, the kernels' rFFTs
+(30-60 ms per eval forward at bci2a on 2 vCPU): a third to a half of a
+one-trial forward, a few percent of a 32-trial one.
 
 A batch is transformed a chunk of trials at a time (``_chunks``), so its
 spectra are never held at once.  A chunk's spectrum is channel first,
 ``[F, Cin, B * H]``, so its product is one batched complex ``matmul``:
 ``F`` GEMMs over ``[Cin, B * H]``.  ``TRIALS_IN_FLIGHT`` chunks run at a
-time, and the result is bit-identical to a serial loop over the chunks.
+time, one on the calling thread and the others on a thread pool that each
+call opens and shuts, and the result is bit-identical to a serial loop.
 Direct summation makes one pass over the data per tap; at the paper's
 bci2a geometry the spectral path cut the three time convolutions' forward
 plus backward from about 7.3 s to 0.26 s per trial (2 vCPU, float64).
@@ -67,8 +68,8 @@ from __future__ import annotations
 
 import functools
 import operator
-import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -91,7 +92,7 @@ def _chunks(n, trial_bytes):
 
 
 # Chunks of one batch transformed at a time: the calling thread and
-# ``TRIALS_IN_FLIGHT - 1`` chunks on one helper thread.  Fixed rather than
+# ``TRIALS_IN_FLIGHT - 1`` chunks on a helper thread.  Fixed rather than
 # one per CPU because every chunk in flight holds its spectra (about
 # 30-40 MB for the bci2a 125-tap conv), and 2 is the only value whose speed
 # and peak memory have been measured.
@@ -102,36 +103,21 @@ def _per_chunk(fn, chunks):
     """Yield ``fn(s)`` for every slice ``s`` of ``chunks``, in order.
 
     Chunks run in groups of ``TRIALS_IN_FLIGHT``: the first on the calling
-    thread, the others of its group on one short-lived helper thread
-    (numpy's FFTs, copies and BLAS calls release the GIL), so at most that
-    many results are held at once.  The helper is joined before its results
-    are yielded, so no thread outlives its group, and an exception it
-    raised is raised again on the calling thread.  The calling thread works
-    rather than waits because memory freed on another thread stays in that
-    thread's malloc arena: a pool thread doing every trial left bci2a steps
-    about 100 MiB larger.
+    thread, the others on a pool the call opens and shuts (numpy's FFTs,
+    copies and BLAS calls release the GIL), so at most that many results
+    are held at once and no thread outlives the call.  ``Future.result``
+    raises a helper's exception again on the calling thread; if the calling
+    thread's chunk raises, leaving the ``with`` waits for its group's
+    helper.  The calling thread works rather than waits because memory
+    freed on another thread stays in that thread's malloc arena: a pool
+    thread doing every trial left bci2a steps about 100 MiB larger.
     """
-    for first in range(0, len(chunks), TRIALS_IN_FLIGHT):
-        rest = chunks[first + 1 : first + TRIALS_IN_FLIGHT]
-        done, failed = [], []
-
-        def run_rest():
-            try:
-                done.extend(map(fn, rest))
-            except BaseException as exc:
-                failed.append(exc)
-
-        helper = threading.Thread(target=run_rest, name="dualtsst-trial")
-        if rest:
-            helper.start()
-        try:
+    with ThreadPoolExecutor(TRIALS_IN_FLIGHT - 1, thread_name_prefix="dualtsst-trial") as pool:
+        for first in range(0, len(chunks), TRIALS_IN_FLIGHT):
+            rest = [pool.submit(fn, s) for s in chunks[first + 1 : first + TRIALS_IN_FLIGHT]]
             yield fn(chunks[first])
-        finally:
-            if rest:
-                helper.join()
-        if failed:
-            raise failed[0]
-        yield from done
+            for future in rest:
+                yield future.result()
 
 
 def _spectrum(a, n):
@@ -143,8 +129,9 @@ def _spectrum(a, n):
     return spec.reshape(len(spec), len(a), -1)
 
 
-# Kernel spectra, one entry per live kernel array: id(w) -> (weakref to w,
-# rFFT length, a copy of w, conj(_spectrum(w, n)) made read-only).
+# Kernel spectra, one entry per live kernel array: id(w) -> (rFFT length,
+# a copy of w, conj(_spectrum(w, n)) made read-only).  A finalizer on w
+# drops its entry when w is freed.
 _KERNEL_SPECTRA = {}
 
 
@@ -156,30 +143,26 @@ def _same_bits(a, b):
     return np.array_equal(a.view(bits), b.view(bits))
 
 
-def _forget(key, ref):
-    """weakref callback: drop the entry of the kernel array that died."""
-    entry = _KERNEL_SPECTRA.get(key)
-    if entry is not None and entry[0] is ref:
-        del _KERNEL_SPECTRA[key]
-
-
 def _kernel_spectrum(w, n):
     """``conj(_spectrum(w, n))``, ``[F, Cout, Cin]``, read-only, taken once
     per kernel value.
 
-    The entry of ``w`` is reused only while ``w`` is the same live array, at
-    the same ``n``, with the bit pattern of the copy kept with it, so any
-    in-place edit (gradcheck's perturbations, a ``-0.0`` turned ``+0.0``)
-    takes a fresh spectrum.  The entry dies with ``w``.
+    The entry of ``w`` is reused only at the same ``n`` and while ``w`` has
+    the bit pattern of the copy kept with it, so any in-place edit
+    (gradcheck's perturbations, a ``-0.0`` turned ``+0.0``) takes a fresh
+    spectrum.  A ``weakref.finalize`` registered with a new entry drops it
+    when ``w`` is freed, before another array can take ``w``'s id.
     """
     key = id(w)
     entry = _KERNEL_SPECTRA.get(key)
-    if entry is not None and entry[0]() is w and entry[1] == n and _same_bits(entry[2], w):
-        return entry[3]
+    if entry is not None and entry[0] == n and _same_bits(entry[1], w):
+        return entry[2]
     spec = _spectrum(w, n)
     np.conjugate(spec, out=spec)
     spec.flags.writeable = False
-    _KERNEL_SPECTRA[key] = (weakref.ref(w, functools.partial(_forget, key)), n, w.copy(), spec)
+    if entry is None:
+        weakref.finalize(w, _KERNEL_SPECTRA.pop, key, None)
+    _KERNEL_SPECTRA[key] = (n, w.copy(), spec)
     return spec
 
 

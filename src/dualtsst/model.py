@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .dataio import ByteCursor, atomic_open, pack_record
+from .dataio import ByteCursor, atomic_open, check_fields, pack_record
 from .errors import DataError
 from .tensor import Tensor
 
@@ -106,19 +106,20 @@ class ModelConfig:
 
     # -- derived geometry ----------------------------------------------------
 
+    def _pool_stride(self, pool: str, divisor: int) -> int:
+        """The field ``{pool}_stride``, or when it is 0, ``pool // divisor`` exactly."""
+        stride, size = getattr(self, f"{pool}_stride"), getattr(self, pool)
+        if stride:
+            return stride
+        if size % divisor:
+            raise DataError(f"{pool}={size} not divisible by {divisor}; set {pool}_stride")
+        return size // divisor
+
     def raw_pool_stride(self) -> int:
-        if self.pool_raw_stride:
-            return self.pool_raw_stride
-        if self.pool_raw % 10:
-            raise DataError(f"pool_raw={self.pool_raw} not divisible by 10; set pool_raw_stride")
-        return self.pool_raw // 10
+        return self._pool_stride("pool_raw", 10)
 
     def tfr_pool_stride(self) -> int:
-        if self.pool_tfr_stride:
-            return self.pool_tfr_stride
-        if self.pool_tfr % 2:
-            raise DataError(f"pool_tfr={self.pool_tfr} not divisible by 2; set pool_tfr_stride")
-        return self.pool_tfr // 2
+        return self._pool_stride("pool_tfr", 2)
 
     def branches(self) -> dict[str, Branch]:
         """The enabled branches in fusion order, name -> geometry: the raw EEG,
@@ -442,7 +443,8 @@ class DualTsstModel:
         model as float64.  A truncated or garbled file, one whose tensors mix
         dtype codes, one made for another configuration, or one whose config
         sets a retired option to anything but its one value
-        (``RETIRED_MODEL_KEYS``) raises DataError."""
+        (``RETIRED_MODEL_KEYS``) or fails ``check_fields`` or ``validate``
+        raises a DataError that names the file."""
         path = Path(path)
         rd = ByteCursor(path.read_bytes(), path)
         magic = rd.take(4, "magic")
@@ -454,12 +456,16 @@ class DualTsstModel:
         cfg_bytes = rd.take(cfg_len, "model config")
         try:
             raw = json.loads(cfg_bytes.decode())
-            if not isinstance(raw, dict):
-                raise DataError(f"{path}: model config is not a JSON object")
-            cfg = ModelConfig(**drop_retired(raw, RETIRED_MODEL_KEYS, f"{path}: "))
+        except ValueError as exc:
+            raise DataError(f"{path}: bad model config ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: model config is not a JSON object")
+        raw = drop_retired(raw, RETIRED_MODEL_KEYS, f"{path}: ")
+        check_fields(raw, ModelConfig, f"{path}: ")
+        try:
             # float64 until every tensor, and so the stored dtype, has been read
-            model = cls(cfg, rng=np.random.default_rng(0))
-        except (ValueError, TypeError) as exc:
+            model = cls(ModelConfig(**raw), rng=np.random.default_rng(0))
+        except (DataError, ValueError, TypeError) as exc:  # a missing field, a failed validate
             raise DataError(f"{path}: bad model config ({exc})") from exc
         (n_entries,) = rd.unpack("<I", "tensor count")
         arrays, codes = {}, set()

@@ -248,13 +248,6 @@ def tsum(x, axis=None) -> Tensor:
     return _track(out, (x,), vjp)
 
 
-def tmean(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    s = tsum(x, axis)
-    return mul(s, 1.0 / n)
-
-
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     out = x.data.reshape(shape)
@@ -561,7 +554,7 @@ def gap(x) -> Tensor:
         raise ValueError("gap expects at least 2 dims ([..., L, D])")
     if x.data.shape[-2] < 1:
         raise ValueError("gap over an empty sequence")
-    return tmean(x, axis=x.data.ndim - 2)
+    return mul(tsum(x, x.data.ndim - 2), 1.0 / x.data.shape[-2])
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -138,17 +138,21 @@ class TrainResult:
     best_test_acc: float | None
 
 
-def evaluate(model: DualTsstModel, ts: TrialSet, batch_size: int = 64) -> np.ndarray:
-    """Predicted labels for every trial, eval-mode batch norm, no grad."""
-    preds = []
+def evaluate(model: DualTsstModel, ts: TrialSet, batch_size: int = 64,
+             features: bool = False) -> np.ndarray:
+    """Predicted labels for every trial, or with ``features`` its pooled
+    features [N, D], ``batch_size`` trials a pass; eval-mode batch norm, no grad."""
+    outs = []
     with no_grad():
         for start in range(0, len(ts), batch_size):
             # contiguous slices are views: no batch is copied
             batch = slice(start, start + batch_size)
             tfr = None if ts.tfr is None else ts.tfr[batch]
-            logits = model.forward(ts.eeg[batch], tfr, train=False)
-            preds.append(np.argmax(logits.data, axis=1))
-    return np.concatenate(preds)
+            if features:
+                outs.append(model.pooled_features(ts.eeg[batch], tfr).data)
+            else:
+                outs.append(np.argmax(model.forward(ts.eeg[batch], tfr, train=False).data, axis=1))
+    return np.concatenate(outs)
 
 
 def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,

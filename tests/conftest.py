@@ -1,4 +1,5 @@
 import contextlib
+import threading
 import warnings
 
 import numpy as np
@@ -16,3 +17,11 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_kernel_thread_outlives_the_test():
+    """Every helper thread the kernels start is gone when its call returns."""
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("dualtsst")]
+    assert not alive, f"threads left alive: {alive}"

@@ -10,6 +10,7 @@ import pytest
 from dualtsst import dataio, metrics, train as training
 from dualtsst.cli import dispatch
 from dualtsst.model import DualTsstModel, config_from_preset
+from dualtsst.tensor import no_grad
 
 
 @pytest.fixture(scope="module")
@@ -584,7 +585,7 @@ def test_train_config_split_out_of_range_exits_2(tmp_path, mini_data, capsys, sp
 
 
 def test_config_checks_cover_every_field_type():
-    from dualtsst.cli import _JSON_CHECKS
+    from dualtsst.dataio import _JSON_CHECKS
     from dualtsst.model import ModelConfig
     from dualtsst.train import TrainConfig
 
@@ -889,6 +890,29 @@ def test_eval_reads_only_the_test_split(tmp_path, mini_data, monkeypatch):
     assert dispatch([*argv, "--data", str(data), "--out", str(tmp_path / "e2")]) == 0
     for name in ("report.json", "confusion.csv"):
         assert (tmp_path / "e2" / name).read_bytes() == (tmp_path / "e1" / name).read_bytes()
+
+
+def test_eval_features_run_in_batches_of_64(tmp_path, monkeypatch):
+    """70 test trials make two passes, of 64 and 6 trials, and the bytes of
+    one pass over the whole split."""
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--out", str(data), "--preset", "mini", "--n", "70",
+                     "--noise", "0.4", "--seed", "5"]) == 0
+    assert dispatch(["transform", "--data", str(data), "--preset", "mini"]) == 0
+    model = mini_checkpoint(tmp_path / "m.dtss")
+    passes = []
+    pooled = DualTsstModel.pooled_features
+    monkeypatch.setattr(DualTsstModel, "pooled_features", lambda self, eeg, tfr: (
+        passes.append(len(eeg)), pooled(self, eeg, tfr))[1])
+    feats = tmp_path / "features.eegt"
+    assert dispatch(["eval", "--model", str(model), "--data", str(data), "--preset", "mini",
+                     "--k", "2", "--out", str(tmp_path / "e"), "--features", str(feats)]) == 0
+    assert passes == [64, 6]
+    test_set = dataio.load_dataset(data, dataio.SplitPlan(k=2), require_tfr=True)[1]
+    with no_grad():
+        whole = pooled(DualTsstModel.load(model), test_set.eeg, test_set.tfr).data
+    assert whole.shape == (70, 8)
+    assert feats.read_bytes() == b"".join(dataio.array_chunks(whole))
 
 
 def test_eval_scores_each_subject_the_manifest_tags(tmp_path, mini_data):

@@ -279,6 +279,28 @@ def test_a_re_transform_rewrites_old_sidecars_in_place(tmp_path, monkeypatch, ba
         assert (tmp_path / "old" / "trials" / path.name).read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("rerun,written", [({}, 0), ({"force": True}, 8),
+                                            ({"band": (2.0, 30.0)}, 8)],
+                         ids=["no-op", "forced", "new-band"])
+def test_only_a_transform_that_changes_something_saves_the_manifest(tmp_path, monkeypatch,
+                                                                    rerun, written):
+    make_dataset(tmp_path)
+    path = tmp_path / "manifest.json"
+    before, inode = path.read_bytes(), path.stat().st_ino
+    saved = []
+    save = dataio.save_manifest
+    monkeypatch.setattr(dataio, "save_manifest",
+                        lambda d, m: (saved.append(m.tfr), save(d, m))[1])
+    freqs = dataio.load_manifest(tmp_path).tfr["freqs"]
+    assert dataio.transform_dataset(tmp_path, freqs, **rerun) == written
+    if written:  # the sidecars are unlisted while written, then listed again
+        assert saved == [None, {"freqs": freqs, "suffix": dataio.TFR_SUFFIX}]
+    else:
+        assert saved == []
+        assert path.stat().st_ino == inode and path.read_bytes() == before
+    assert dataio.load_trialset(tmp_path, require_tfr=True).tfr.shape == (8, 4, 6, 64)
+
+
 def test_write_dataset_over_longer_trials_leaves_files_of_the_new_size(tmp_path):
     make_dataset(tmp_path)
     new = dataio.synth(4, 4, 32, 128.0, MINI_CLASSES, noise=0.1, seed=2)

@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -302,6 +303,39 @@ def test_an_error_on_the_helper_thread_reaches_the_caller():
         list(kernels._per_chunk(trial, [slice(b, b + 1) for b in range(4)]))
     assert ran_on[1] is not threading.current_thread()
     assert 2 not in ran_on  # the next group never started
+    assert threading.active_count() == before
+
+
+def test_one_call_runs_all_its_chunks_on_two_threads():
+    """8 one-trial chunks run on the calling thread and one helper, not on a
+    new helper per group."""
+    ran_on = {}
+
+    def trial(s):
+        ran_on[s.start] = threading.current_thread()
+        return s.start
+
+    assert list(kernels._per_chunk(trial, [slice(b, b + 1) for b in range(8)])) == list(range(8))
+    assert len(set(ran_on.values())) <= kernels.TRIALS_IN_FLIGHT
+    assert all(ran_on[b] is threading.current_thread() for b in range(0, 8, 2))
+
+
+def test_an_error_on_the_calling_thread_waits_for_its_helper():
+    started, finished = threading.Event(), []
+
+    def trial(s):
+        if s.start == 0:
+            assert started.wait(timeout=60)
+            raise ArithmeticError("trial 0 failed")
+        started.set()
+        time.sleep(0.2)
+        finished.append(s.start)
+        return s.start
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="trial 0 failed"):
+        list(kernels._per_chunk(trial, [slice(b, b + 1) for b in range(4)]))
+    assert finished == [1]  # the group's helper chunk ran to its end; the next group never ran
     assert threading.active_count() == before
 
 

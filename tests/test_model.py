@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualtsst import dataio, tensor as T
+from dualtsst.cli import _load_run_config
 from dualtsst.errors import DataError
 from dualtsst.gradcheck import check_gradients
 from dualtsst import model as model_module
@@ -879,6 +880,32 @@ def test_checkpoint_with_a_retired_key_off_its_value_is_a_data_error(tmp_path, k
                                                                    **{key: value})))
     with pytest.raises(DataError, match=f"{path}: {key} is retired"):
         DualTsstModel.load(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"use_transformer": 1}, "use_transformer must be bool, got 1"),
+    ({"pool_raw_stride": False}, "pool_raw_stride must be int, got False"),
+    ({"embed_dim": 8.0}, "embed_dim must be int, got 8.0"),
+    ({"embed_dimension": 8}, "embed_dimension is not a ModelConfig field"),
+    ({"pool_raw_stride": 0},
+     "bad model config (pool_raw=16 not divisible by 10; set pool_raw_stride)"),
+    ({"embed_dim": 9}, "bad model config (embed_dim=9 not divisible by heads=2)"),
+], ids=["bool-as-int", "int-as-bool", "int-as-float", "unknown-key", "no-stride", "heads"])
+def test_checkpoint_config_is_checked_as_a_run_config_is(tmp_path, edit, message):
+    """A checkpoint's config gets the field checks of ``--config`` and
+    ``ModelConfig.validate``; each failure is one line naming the file."""
+    model = mini_model(seed=2)
+    path = tmp_path / "edited.dtss"
+    path.write_bytes(checkpoint_blob(model, 2, {**dataclasses.asdict(model.config), **edit}))
+    with pytest.raises(DataError) as info:
+        DualTsstModel.load(path)
+    assert str(info.value) == f"{path}: {message}"
+    if not message.startswith("bad model config"):  # --config rejects the same value
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"model": edit}))
+        with pytest.raises(DataError) as info:
+            _load_run_config(run_config)
+        assert str(info.value) == f"{run_config}: model.{message}"
 
 
 def test_checkpoint_config_that_is_not_an_object_is_a_data_error(tmp_path):
