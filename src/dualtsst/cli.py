@@ -307,7 +307,10 @@ def _cmd_eval(args) -> int:
     _check_fits(model.config, _first_trial(args.data, test_manifest))
     test_set = dataio.load_trialset(args.data, require_tfr=True, manifest=test_manifest)
 
-    preds = training.evaluate(model, test_set)
+    if args.features:
+        preds, features = training.evaluate(model, test_set, features=True)
+    else:
+        preds = training.evaluate(model, test_set)
     report = metrics.evaluate_predictions(
         test_set.labels, preds, test_set.class_names,
         config=dataclasses.asdict(model.config),
@@ -319,10 +322,9 @@ def _cmd_eval(args) -> int:
         report.subjects = metrics.subject_summary(groups, n_classes=len(test_set.class_names))
     metrics.export_report(report, args.out)
     if args.features:
-        features = b"".join(dataio.array_chunks(training.evaluate(model, test_set,
-                                                                  features=True)))
+        blob = b"".join(dataio.array_chunks(features))
         with dataio.atomic_open(args.features, "wb") as fh:
-            fh.write(features)
+            fh.write(blob)
     _write_resolved(args.out, {
         "command": "eval",
         "model": str(args.model),

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import signal
+from . import kernels, signal
 from .errors import DataError
 
 MAGIC = b"EEGT"
@@ -490,6 +490,20 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
     are overwritten in place (``write_array``), so while they are written the
     manifest lists none of them.  A run that writes no sidecar and changes no
     setting does not save the manifest.
+
+    The trials to transform follow the time convolutions' chunk rule: as
+    many trials per chunk as have their transient bytes, ``ch x (2 x 16 n +
+    12 F T)`` (the padded spectrum and the product buffer at the circular
+    length ``n``, the float64 and float32 power), fit in
+    ``kernels.CHUNK_BYTES``, and ``kernels.TRIALS_IN_FLIGHT`` chunks at a
+    time.  That is one trial per chunk at bci2a (about 11 MB) and seed, and
+    about 50 at mini.  A chunk reads and filters its trials, stacks their
+    rows into one ``morlet_power`` call and casts the power to float32, on
+    whichever thread runs it.  The calling thread reads the first trial
+    before anything else, finishes the first chunk before the manifest
+    unlists the sidecars, and writes every sidecar in trial order; the bytes
+    are those of a serial loop.  Every trial must have the first trial's
+    preprocessed shape.
     """
     dataset_dir = Path(dataset_dir)
     manifest = load_manifest(dataset_dir)
@@ -504,22 +518,42 @@ def transform_dataset(dataset_dir, freqs, band=None, window=None, force: bool = 
     }
     unchanged = manifest.tfr == settings and manifest.preprocess == preprocess
     plan = signal.make_morlet_plan(freqs, manifest.fs)
+    todo = [entry.file for entry in manifest.trials
+            if force or not unchanged or not _tfr_path(dataset_dir, entry.file).exists()]
     written = 0
-    for entry in manifest.trials:
-        out_path = _tfr_path(dataset_dir, entry.file)
-        if unchanged and out_path.exists() and not force:
-            continue
-        x = _read_trial(dataset_dir, manifest, entry.file, preprocess)
-        power = signal.morlet_power(x, plan)
-        if manifest.tfr is not None:
-            # a cut in-place write can leave a short sidecar or a full-length
-            # one of new and old bytes, so from the first write on the manifest
-            # lists none of them until the last one is written: an interrupted
-            # run leaves a dataset that asks for a transform
-            manifest.tfr = None
-            save_manifest(dataset_dir, manifest)
-        write_array(out_path, power)
-        written += 1
+    if todo:
+        first = _read_trial(dataset_dir, manifest, todo[0], preprocess)
+        ch, n_t = first.shape
+        n = plan.circular_length(n_t)
+        plan.spectrum(n)  # taken here, so that no two chunks take it at once
+
+        def read(i):
+            if i == 0:
+                return first
+            x = _read_trial(dataset_dir, manifest, todo[i], preprocess)
+            if x.shape != first.shape:
+                raise DataError(f"{todo[i]}: shape {x.shape} != {first.shape} of first trial")
+            return x
+
+        def chunk(s):
+            rows = np.concatenate([read(i) for i in range(s.start, s.stop)])
+            power = signal.morlet_power(rows, plan).astype("<f4")
+            return power.reshape(-1, ch, plan.n_freqs, n_t)
+
+        chunks = kernels._chunks(len(todo), ch * (2 * 16 * n + 12 * plan.n_freqs * n_t))
+        with contextlib.closing(kernels._per_chunk(chunk, chunks)) as powers:
+            for s, power in zip(chunks, powers):
+                if manifest.tfr is not None:
+                    # a cut in-place write can leave a short sidecar or a
+                    # full-length one of new and old bytes, so from the first
+                    # write on the manifest lists none of them until the last
+                    # one is written: an interrupted run leaves a dataset that
+                    # asks for a transform
+                    manifest.tfr = None
+                    save_manifest(dataset_dir, manifest)
+                for file, p in zip(todo[s], power):
+                    write_array(_tfr_path(dataset_dir, file), p)
+                written += len(power)
     if written or not unchanged:
         manifest.tfr = settings
         manifest.preprocess = preprocess

@@ -81,7 +81,10 @@ import numpy as np
 # 1.4 MB of time-conv spectra of a 64-trial mini batch, less than twice
 # the 1.1 MB of one trial's at any bci2a, bci2b or seed time conv.  So a
 # mini step batch is one chunk and a full-scale chunk is one trial.  The
-# batch-norm moments in ``tensor`` walk the same chunks.
+# batch-norm moments in ``tensor`` walk the same chunks.  The rule's second
+# user is ``dataio.transform_dataset``: a trial's Morlet spectra and power
+# take about 11 MB at bci2a, so there too a full-scale chunk is one trial,
+# and a mini chunk is about 50 trials.
 CHUNK_BYTES = 2 << 20
 
 
@@ -94,8 +97,9 @@ def _chunks(n, trial_bytes):
 # Chunks of one batch transformed at a time: the calling thread and
 # ``TRIALS_IN_FLIGHT - 1`` chunks on a helper thread.  Fixed rather than
 # one per CPU because every chunk in flight holds its spectra (about
-# 30-40 MB for the bci2a 125-tap conv), and 2 is the only value whose speed
-# and peak memory have been measured.
+# 30-40 MB for the bci2a 125-tap conv; about 11 MB per trial for the
+# Morlet transform, ``dataio.transform_dataset``, the second user), and 2
+# is the only value whose speed and peak memory have been measured.
 TRIALS_IN_FLIGHT = 2
 
 

@@ -364,8 +364,12 @@ class DualTsstModel:
 
     def classify(self, encoded) -> Tensor:
         """GAP over the sequence axis, then the two-layer head; returns logits."""
-        h = T.gap(encoded)
-        h = T.linear(h, self.params["classifier.fc1.weight"], self.params["classifier.fc1.bias"])
+        return self.head(T.gap(encoded))
+
+    def head(self, pooled) -> Tensor:
+        """The two-layer classifier head on pooled features [N, D]; returns logits."""
+        h = T.linear(pooled, self.params["classifier.fc1.weight"],
+                     self.params["classifier.fc1.bias"])
         h = T.elu(h)
         return T.linear(h, self.params["classifier.fc2.weight"], self.params["classifier.fc2.bias"])
 

@@ -80,8 +80,15 @@ class MorletPlan:
     def support(self) -> int:
         return self.taps.shape[1]
 
+    def circular_length(self, n_t: int) -> int:
+        """The FFT length ``morlet_power`` uses on ``n_t``-sample signals:
+        ``fft_length`` of the reflect-padded length ``n_t + k - 1``."""
+        return fft_length(n_t + self.support - 1)
+
     def spectrum(self, n: int) -> np.ndarray:
-        """The taps' ``n``-point FFT ``[F, n]``, computed once per length."""
+        """The taps' ``n``-point FFT ``[F, n]``, computed once per length.
+        Not locked: a caller that runs transforms on several threads takes
+        it once first."""
         if n not in self._spectra:
             self._spectra[n] = np.fft.fft(self.taps, n, axis=-1)
         return self._spectra[n]
@@ -161,7 +168,7 @@ def morlet_power(x: np.ndarray, plan: MorletPlan) -> np.ndarray:
     if half > n_t - 1:
         raise DataError(f"wavelet support {k} cannot be reflect-padded onto {n_t} samples")
     xp = np.pad(x, ((0, 0), (half, half)), mode="reflect")
-    n = fft_length(xp.shape[-1])
+    n = plan.circular_length(n_t)
     spec = np.fft.fft(xp, n, axis=-1)
     wspec = plan.spectrum(n)
     out = np.empty((ch, plan.n_freqs, n_t), dtype=np.float64)

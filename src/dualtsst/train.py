@@ -139,20 +139,27 @@ class TrainResult:
 
 
 def evaluate(model: DualTsstModel, ts: TrialSet, batch_size: int = 64,
-             features: bool = False) -> np.ndarray:
-    """Predicted labels for every trial, or with ``features`` its pooled
-    features [N, D], ``batch_size`` trials a pass; eval-mode batch norm, no grad."""
-    outs = []
+             features: bool = False):
+    """Predicted labels for every trial, ``batch_size`` trials a pass;
+    eval-mode batch norm, no grad.  With ``features``, ``(labels, pooled
+    features [N, D])`` from one encoder pass per batch: the head reads the
+    pooled features the caller gets."""
+    labels, pooled = [], []
     with no_grad():
         for start in range(0, len(ts), batch_size):
             # contiguous slices are views: no batch is copied
             batch = slice(start, start + batch_size)
             tfr = None if ts.tfr is None else ts.tfr[batch]
             if features:
-                outs.append(model.pooled_features(ts.eeg[batch], tfr).data)
+                feats = model.pooled_features(ts.eeg[batch], tfr)
+                pooled.append(feats.data)
+                logits = model.head(feats)
             else:
-                outs.append(np.argmax(model.forward(ts.eeg[batch], tfr, train=False).data, axis=1))
-    return np.concatenate(outs)
+                logits = model.forward(ts.eeg[batch], tfr, train=False)
+            labels.append(np.argmax(logits.data, axis=1))
+    if features:
+        return np.concatenate(labels), np.concatenate(pooled)
+    return np.concatenate(labels)
 
 
 def train_loop(model: DualTsstModel, train_set: TrialSet, cfg: TrainConfig,

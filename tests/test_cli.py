@@ -915,6 +915,30 @@ def test_eval_features_run_in_batches_of_64(tmp_path, monkeypatch):
     assert feats.read_bytes() == b"".join(dataio.array_chunks(whole))
 
 
+def test_eval_features_encode_each_batch_once(tmp_path, monkeypatch):
+    """With --features a batch is encoded once: its pooled output gives both
+    the features and the labels, and the report is the one eval writes
+    without --features."""
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--out", str(data), "--preset", "mini", "--n", "70",
+                     "--noise", "0.4", "--seed", "5"]) == 0
+    assert dispatch(["transform", "--data", str(data), "--preset", "mini"]) == 0
+    model = mini_checkpoint(tmp_path / "m.dtss")
+    encoded = []
+    encode = DualTsstModel._encode
+    monkeypatch.setattr(DualTsstModel, "_encode", lambda self, eeg, *args, **kw: (
+        encoded.append(len(eeg)), encode(self, eeg, *args, **kw))[1])
+    argv = ["eval", "--model", str(model), "--data", str(data), "--preset", "mini", "--k", "2"]
+    assert dispatch([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert encoded == [64, 6]
+    encoded.clear()
+    assert dispatch([*argv, "--out", str(tmp_path / "feats"),
+                     "--features", str(tmp_path / "features.eegt")]) == 0
+    assert encoded == [64, 6]
+    for name in ("report.json", "confusion.csv"):
+        assert (tmp_path / "feats" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_eval_scores_each_subject_the_manifest_tags(tmp_path, mini_data):
     data = tmp_path / "d"
     shutil.copytree(mini_data, data)

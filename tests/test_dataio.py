@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtsst import cli, dataio, metrics, signal, train
+from dualtsst import cli, dataio, kernels, metrics, signal, train
 from dualtsst.errors import DataError
 from dualtsst.model import DualTsstModel, config_from_preset
 
@@ -299,6 +300,89 @@ def test_only_a_transform_that_changes_something_saves_the_manifest(tmp_path, mo
         assert saved == []
         assert path.stat().st_ino == inode and path.read_bytes() == before
     assert dataio.load_trialset(tmp_path, require_tfr=True).tfr.shape == (8, 4, 6, 64)
+
+
+def _per_trial_sidecars(dataset_dir, out_dir, freqs):
+    """Reference sidecar bytes: one ``morlet_power`` and one ``write_array`` per trial."""
+    manifest = dataio.load_manifest(dataset_dir)
+    plan = signal.make_morlet_plan(freqs, manifest.fs)
+    want = {}
+    for entry in manifest.trials:
+        x = dataio._read_trial(dataset_dir, manifest, entry.file, manifest.preprocess)
+        path = out_dir / Path(entry.file).name
+        dataio.write_array(path, signal.morlet_power(x, plan))
+        want[dataio._tfr_path(dataset_dir, entry.file).name] = path.read_bytes()
+    return want
+
+
+def _sidecars(dataset_dir):
+    return {p.name: p.read_bytes()
+            for p in sorted((dataset_dir / "trials").glob("*" + dataio.TFR_SUFFIX))}
+
+
+@pytest.mark.parametrize("trials_per_chunk", [1, 2, None], ids=["one", "two", "default"])
+def test_chunked_transform_writes_the_bytes_of_a_per_trial_loop(tmp_path, monkeypatch,
+                                                                 trials_per_chunk):
+    make_dataset(tmp_path / "d")
+    freqs = dataio.load_manifest(tmp_path / "d").tfr["freqs"]
+    want = _per_trial_sidecars(tmp_path / "d", tmp_path, freqs)
+    if trials_per_chunk is not None:
+        # a trial holds ch x (2 x 16 n + 12 F T) bytes at the circular length n
+        n = signal.make_morlet_plan(freqs, 128.0).circular_length(64)
+        monkeypatch.setattr(kernels, "CHUNK_BYTES",
+                            trials_per_chunk * 4 * (2 * 16 * n + 12 * len(freqs) * 64))
+    walks = []
+    walk = kernels._chunks
+    monkeypatch.setattr(kernels, "_chunks", lambda *args: (
+        walks.append(walk(*args)), walks[-1])[1])
+
+    assert dataio.transform_dataset(tmp_path / "d", freqs, force=True) == 8
+    assert [s.stop - s.start for s in walks[0]] == [trials_per_chunk or 8] * (
+        8 // (trials_per_chunk or 8))
+    assert _sidecars(tmp_path / "d") == want
+
+    # a cached run transforms only the trials whose sidecars are gone
+    names = sorted(want)
+    for name in (names[1], names[4], names[5]):
+        (tmp_path / "d" / "trials" / name).unlink()
+    assert dataio.transform_dataset(tmp_path / "d", freqs) == 3
+    assert [s.stop - s.start for s in walks[1]] == {1: [1, 1, 1], 2: [2, 1], None: [3]}[
+        trials_per_chunk]
+    assert _sidecars(tmp_path / "d") == want
+    assert dataio.load_manifest(tmp_path / "d").tfr["freqs"] == freqs
+
+
+def test_a_bad_trial_on_the_helper_thread_raises_its_data_error_on_the_caller(tmp_path,
+                                                                              monkeypatch):
+    make_dataset(tmp_path)
+    freqs = dataio.load_manifest(tmp_path).tfr["freqs"]
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1)  # one trial per chunk
+    (tmp_path / "trials" / "trial_0001.eegt").unlink()
+    threads = {}
+    read = dataio._read_trial
+    monkeypatch.setattr(dataio, "_read_trial", lambda d, m, file, pre: (
+        threads.setdefault(file, threading.current_thread().name), read(d, m, file, pre))[1])
+    with pytest.raises(DataError) as info:
+        dataio.transform_dataset(tmp_path, freqs, force=True)
+    assert str(info.value) == f"missing trial file {tmp_path / 'trials' / 'trial_0001.eegt'}"
+    assert threads["trials/trial_0001.eegt"].startswith("dualtsst")
+    assert threads["trials/trial_0000.eegt"] == threading.current_thread().name
+    assert dataio.load_manifest(tmp_path).tfr is None
+    assert not [t for t in threading.enumerate() if t.name.startswith("dualtsst")]
+
+
+@pytest.mark.parametrize("chunk_bytes", [kernels.CHUNK_BYTES, 1], ids=["one-chunk", "helper"])
+def test_a_trial_of_another_shape_is_a_one_line_transform_error(tmp_path, capsys, monkeypatch,
+                                                                 chunk_bytes):
+    # with one trial per chunk, trial 5 is read on the helper thread
+    make_dataset(tmp_path, with_tfr=False)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", chunk_bytes)
+    dataio.write_array(tmp_path / "trials/trial_0005.eegt", np.zeros((4, 48)))
+    code = cli.dispatch(["transform", "--data", str(tmp_path), "--preset", "mini"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: trials/trial_0005.eegt: shape (4, 48) != (4, 64) of first trial\n"
+    assert dataio.load_manifest(tmp_path).tfr is None
 
 
 def test_write_dataset_over_longer_trials_leaves_files_of_the_new_size(tmp_path):

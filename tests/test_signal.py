@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from dualtsst import dataio, signal
+from dualtsst import dataio, kernels, signal
 from dualtsst.errors import DataError
 
 
@@ -209,13 +210,32 @@ def test_transform_dataset_takes_the_taps_fft_once(tmp_path, monkeypatch):
     ts = dataio.synth(3, 2, 64, 128.0, [dataio.SynthClass(8.0), dataio.SynthClass(20.0)],
                       seed=1)
     dataio.write_dataset(tmp_path, ts)
+    chunks = []
+    walk = kernels._chunks
+    monkeypatch.setattr(kernels, "_chunks", lambda *args: (
+        chunks.append(walk(*args)), chunks[-1])[1])
     complex_inputs = []
     fft = np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: (
-        complex_inputs.append(np.iscomplexobj(a)), fft(a, *args, **kw))[1])
-    assert dataio.transform_dataset(tmp_path, [4.0, 8.0, 16.0]) == 6
-    # one transform of each trial's real signal, one of the complex taps
-    assert sorted(complex_inputs) == [False] * 6 + [True]
+
+    def counted_fft(a, *args, **kw):
+        complex_inputs.append(np.iscomplexobj(a))
+        if complex_inputs[-1]:
+            time.sleep(0.05)  # a slow taps FFT, so chunks taking it at once would overlap
+        return fft(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    # all six trials in one chunk, then one trial per chunk and every chunk
+    # in flight at once, more threads than CPUs
+    for chunk_bytes, n_chunks in ((kernels.CHUNK_BYTES, 1), (1, 6)):
+        monkeypatch.setattr(kernels, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(kernels, "TRIALS_IN_FLIGHT", max(2, n_chunks))
+        chunks.clear()
+        complex_inputs.clear()
+        assert dataio.transform_dataset(tmp_path, [4.0, 8.0, 16.0], force=True) == 6
+        assert len(chunks) == 1 and len(chunks[0]) == n_chunks
+        # one transform of each chunk's stacked real rows, and one of the
+        # complex taps per call, taken before any chunk runs
+        assert sorted(complex_inputs) == [False] * n_chunks + [True]
 
 
 def test_morlet_peak_at_signal_frequency():
