@@ -139,7 +139,13 @@ def _cmd_synth(args) -> int:
         raise UsageError("--classes is required unless the preset defines them")
     classes = list(s.pop("synth_classes"))
     ts = dataio.synth(args.n, classes=classes, noise=args.noise, seed=args.seed, **s)
-    dataio.write_dataset(args.out, ts, name=args.name)
+    splits = None
+    if p is not None and p.split_mode == "session":
+        # trials come class by class: each class's first half, rounded up, is
+        # the training session and the rest the test session
+        splits = ["train" if i < args.n - args.n // 2 else "test"
+                  for _ in classes for i in range(args.n)]
+    dataio.write_dataset(args.out, ts, name=args.name, splits=splits)
     _write_resolved(args.out, {
         "command": "synth",
         "preset": args.preset,

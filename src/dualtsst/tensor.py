@@ -5,6 +5,12 @@ op records its parents and a vector-Jacobian closure on the output tensor;
 :func:`backward` replays those closures in exact reverse execution order
 (nodes carry a monotonically increasing id assigned at creation).
 
+Backward releases a node once its VJP has run: the node's record is
+cleared and backward holds it no longer, so its array and closure go as
+soon as nothing outside the graph refers to them.  A branch stem's VJP
+drops its time-conv output ``h`` before it takes the time conv's
+gradients, which do not read it.
+
 Tensors are treated as immutable once created, except for gradient
 accumulation into ``.grad``.  Repeated backward passes accumulate
 additively until :meth:`Tensor.zero_grad` (or ``grad = None``) resets them.
@@ -162,8 +168,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every requires-grad leaf.
 
-    ``loss`` must be scalar.  The op record is freed afterwards; calling
-    backward twice on the same output raises.
+    ``loss`` must be scalar.  Each node is released once its VJP has run:
+    its record is cleared and backward keeps no reference to it, so the
+    arrays that only it held are freed before the VJPs that follow.
+    Calling backward twice on the same output raises.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -182,10 +190,12 @@ def backward(loss: Tensor) -> None:
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
-    nodes.sort(key=lambda t: t._nid, reverse=True)
+    nodes.sort(key=lambda t: t._nid)
+    del t  # the walk's last node would otherwise stay alive to the end
 
     grads: dict[int, np.ndarray] = {loss._nid: np.ones_like(loss.data)}
-    for node in nodes:
+    while nodes:
+        node = nodes.pop()  # popped, so this list does not hold it once processed
         g = grads.pop(node._nid, None)
         if g is None:
             continue
@@ -496,8 +506,9 @@ def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, de
     so it is applied after the depthwise conv, on the small output:
     ``a * (conv(h) - mu * sum(d)) + beta * sum(d)``.  Batch statistics and
     running buffers behave as in :func:`batch_norm`.  Only the backward
-    holds ``h``; in eval mode with no graph recorded nothing needs it, and
-    one ``kernels.conv2d_forward`` call runs both convs.
+    holds ``h``, and only until its depthwise and batch-statistics terms are
+    taken; in eval mode with no graph recorded nothing needs it, and one
+    ``kernels.conv2d_forward`` call runs both convs.
     """
     x, kernel, depthwise = as_tensor(x), as_tensor(kernel), as_tensor(depthwise)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -523,6 +534,7 @@ def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, de
     out += (beta.data * ksum).reshape(gshape)
 
     def vjp(g):
+        nonlocal h
         gsum = g.sum(axis=(0, 2, 3))
         # depthwise gradient of the normalised h: a * (conv_d(g, h) - mu * sum(g)) + beta * sum(g)
         centred = kernels.conv2d_backward_kernel(g, h, depthwise.data.shape)
@@ -540,6 +552,7 @@ def time_conv_bn_depthwise(x, kernel, gamma, beta, running_mean, running_var, de
             for s in kernels._chunks(len(h), h[0].nbytes):
                 gh[s] -= (h[s] - mu4) * slope
             gh -= (a * gbeta / m).reshape(gshape)
+        h = None  # the time conv's gradients do not read it
         return ((x, kernels.conv2d_backward_input(gh, kernel.data, x.data.shape)),
                 (kernel, kernels.conv2d_backward_kernel(gh, x.data, kernel.data.shape)),
                 (gamma, ggamma), (beta, gbeta), (depthwise, gdepthwise))

@@ -277,6 +277,39 @@ def test_synth_preset_writes_what_its_transform_reads(tmp_path, name):
         p.n_channels, p.n_times, len(p.freqs()))
 
 
+@pytest.mark.parametrize("name", dataio.preset_names())
+def test_synth_tags_a_session_split_and_only_for_its_presets(tmp_path, name):
+    p = dataio.preset(name)
+    classes = [] if p.synth_classes else [
+        "--classes", ",".join(str(8 + 4 * k) for k in range(p.n_classes))]
+    assert dispatch(["synth", "--out", str(tmp_path), "--preset", name, "--n", "3",
+                     "--t", "64", *classes]) == 0
+    tags = [t.split for t in dataio.load_manifest(tmp_path).trials]
+    if p.split_mode == "session":
+        assert tags == ["train", "train", "test"] * p.n_classes
+    else:
+        assert tags == [None] * 3 * p.n_classes
+
+
+def test_synth_without_a_preset_writes_no_split_tags(tmp_path):
+    assert dispatch(["synth", "--out", str(tmp_path), "--n", "3", "--classes", "8,12"]) == 0
+    assert [t.split for t in dataio.load_manifest(tmp_path).trials] == [None] * 6
+
+
+def test_a_session_preset_runs_its_own_split_from_synth_to_eval(tmp_path, capsys):
+    data, run = tmp_path / "d", tmp_path / "run"
+    assert dispatch(["synth", "--out", str(data), "--preset", "bci2b", "--n", "3",
+                     "--classes", "10,22", "--noise", "0.5"]) == 0
+    assert dispatch(["transform", "--data", str(data), "--preset", "bci2b"]) == 0
+    assert dispatch(["train", "--data", str(data), "--out", str(run), "--preset", "bci2b",
+                     "--epochs", "1", "--quiet"]) == 0
+    assert json.loads((run / "resolved_config.json").read_text())["split"]["mode"] == "session"
+    capsys.readouterr()
+    assert dispatch(["eval", "--model", str(run / "model_final.dtss"), "--data", str(data),
+                     "--out", str(tmp_path / "eval"), "--preset", "bci2b"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" n=2")  # one test trial per class
+
+
 @pytest.mark.parametrize("flag,value,code,message", [
     pytest.param("--freq-hi", "inf", 1, "dualtsst transform: argument --freq-hi: "
                  "must be a finite number, got inf", id="freq-hi-inf"),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,36 @@ def test_each_encoder_layer_holds_two_attention_sized_tensors(rng):
     assert cfg.embed_dim // cfg.encoder_heads != L  # no other graph node has this shape
     shapes = [t.shape for t in _graph(loss)]
     assert shapes.count(attention_sized) == 2 * cfg.encoder_layers
+
+
+def test_backward_peak_grows_by_little_more_than_the_graph_kept(rng):
+    """At the paper's bci2b geometry each trial adds to the backward peak
+    about what it adds to the bytes the forward keeps: backward holds no
+    node or time-conv output past the VJP that last reads it."""
+    p = dataio.preset("bci2b")
+    cfg = config_from_preset(p)
+    model = DualTsstModel(cfg, rng=np.random.default_rng(0))
+    batches = [(*mini_inputs(rng, n=n, cfg=cfg), np.arange(n) % cfg.n_classes) for n in (2, 6)]
+
+    def step(eeg, tfr, labels):
+        return T.cross_entropy(model.forward(eeg, tfr, train=True), labels)
+
+    T.backward(step(*batches[0]))  # the kernel spectra are kept from here on
+    peaks, kept = [], []
+    for batch in batches:
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            loss = step(*batch)
+            kept.append(tracemalloc.get_traced_memory()[0])
+            T.backward(loss)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del loss
+    slope, per_trial = (peaks[1] - peaks[0]) / 4, (kept[1] - kept[0]) / 4
+    assert slope <= 1.15 * per_trial, (f"backward peak grows {slope / 2**20:.2f} MiB per "
+                                       f"trial, the graph keeps {per_trial / 2**20:.2f}")
 
 
 def test_attention_maps_are_the_softmax_of_the_scaled_scores(rng, monkeypatch):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -680,6 +682,54 @@ def test_backward_twice_on_freed_graph_errors():
     T.backward(loss)
     with pytest.raises(ValueError):
         T.backward(loss)
+
+
+def test_backward_releases_a_node_once_its_vjp_has_run():
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    released = []
+
+    def probe(t):
+        def vjp(g):
+            released.append(later() is None)
+            return ((t, g),)
+
+        return T._track(t.data.copy(), (t,), vjp)
+
+    def build():
+        # ``mid`` is made after the probe, so backward runs its VJP first;
+        # Tensor takes no weak reference, its array does
+        mid = T.mul(probe(x), 3.0)
+        return mid.sum(), weakref.ref(mid.data)
+
+    loss, later = build()
+    T.backward(loss)
+    assert released == [True]
+    np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+
+
+def test_stem_drops_its_time_conv_output_before_the_time_conv_gradients(rng, monkeypatch):
+    x, kernel, gamma, beta, rm, rv, depthwise = _stem_case(rng, (3, 2, 4, 9), taps=5)
+    forward, backward_input = kernels.conv2d_forward, kernels.conv2d_backward_input
+    made, alive = [], []
+
+    def recorded_forward(inp, k, *args, **kwargs):
+        out = forward(inp, k, *args, **kwargs)
+        if k is kernel.data:
+            made.append(weakref.ref(out))
+        return out
+
+    def checked_backward_input(g, k, shape):
+        if k is kernel.data:
+            alive.append(made[0]() is not None)
+        return backward_input(g, k, shape)
+
+    monkeypatch.setattr(kernels, "conv2d_forward", recorded_forward)
+    monkeypatch.setattr(kernels, "conv2d_backward_input", checked_backward_input)
+    for train in (True, False):
+        made.clear()
+        out = T.time_conv_bn_depthwise(x, kernel, gamma, beta, rm, rv, depthwise, train)
+        T.backward(out.sum())
+    assert alive == [False, False]
 
 
 def test_no_grad_blocks_recording():
