@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment as aug
-from . import dataio, metrics, train as training
+from . import dataio, kernels, metrics, train as training
 from .dataio import _is_int
 from .errors import DataError, DualTsstError, NumericalError, UsageError
 from .gradcheck import check_gradients
@@ -56,6 +56,8 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "cpu_count": cpus,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        # what the package set, which the variables above may not say
+        "blas_threads_in_use": kernels.blas_threads(),
     }
 
 

@@ -44,6 +44,16 @@ spectra are never held at once.  A chunk's spectrum is channel first,
 ``F`` GEMMs over ``[Cin, B * H]``.  ``TRIALS_IN_FLIGHT`` chunks run at a
 time, one on the calling thread and the others on a thread pool that each
 call opens and shuts, and the result is bit-identical to a serial loop.
+These chunks are the package's only parallelism: importing the module
+sets the OpenBLAS that numpy calls to one thread (``blas_threads`` reads
+it back), whatever ``OPENBLAS_NUM_THREADS`` said.  Nested in the chunk
+threads, OpenBLAS's own pool competes with them for the same cores: on
+2 vCPU, two threads each taking a seed chunk's batched complex product
+took a median of 4.7-18.2 ms with OpenBLAS at 2 threads and 3.7-4.4 ms
+at 1 (three sets of 100).  At the seed geometry the view-1 time conv's
+input and kernel gradients fell from 17.2 and 13.6 ms per trial to 7.0
+each (one traced run), and eval went from a median of 47.4 to 77.9
+trials/s over 10 benchmark pairs.  The bits do not change.
 Direct summation makes one pass over the data per tap; at the paper's
 bci2a geometry the spectral path cut the three time convolutions' forward
 plus backward from about 7.3 s to 0.26 s per trial (2 vCPU, float64).
@@ -66,6 +76,7 @@ path bit for bit, the other two, which sum in another order, to a few ulps.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import operator
 import weakref
@@ -115,6 +126,8 @@ def _per_chunk(fn, chunks):
     helper.  The calling thread works rather than waits because memory
     freed on another thread stays in that thread's malloc arena: a pool
     thread doing every trial left bci2a steps about 100 MiB larger.
+    BLAS runs one thread (``_pin_one_blas_thread``), so each chunk in flight
+    gets a core of its own rather than sharing both with OpenBLAS's pool.
     """
     with ThreadPoolExecutor(TRIALS_IN_FLIGHT - 1, thread_name_prefix="dualtsst-trial") as pool:
         for first in range(0, len(chunks), TRIALS_IN_FLIGHT):
@@ -122,6 +135,37 @@ def _per_chunk(fn, chunks):
             yield fn(chunks[first])
             for future in rest:
                 yield future.result()
+
+
+def _openblas():
+    """``(set_num_threads, get_num_threads)`` of the OpenBLAS numpy calls, or None."""
+    try:
+        # a symbol lookup on numpy's extension module also searches the
+        # libraries it links, so this finds the BLAS numpy loaded, not another
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")) and hasattr(lib, name.format("get")):
+            return getattr(lib, name.format("set")), getattr(lib, name.format("get"))
+    return None
+
+
+def _pin_one_blas_thread():
+    """Run numpy's OpenBLAS on one thread, if numpy calls one."""
+    global _OPENBLAS
+    _OPENBLAS = _openblas()
+    if _OPENBLAS is not None:
+        _OPENBLAS[0](1)
+
+
+def blas_threads():
+    """Threads the OpenBLAS numpy calls runs on, or None when none was found."""
+    return None if _OPENBLAS is None else _OPENBLAS[1]()
+
+
+_pin_one_blas_thread()
 
 
 def _spectrum(a, n):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualtsst import dataio, metrics, train as training
+from dualtsst import dataio, kernels, metrics, train as training
 from dualtsst.cli import dispatch
 from dualtsst.model import DualTsstModel, config_from_preset
 from dualtsst.tensor import no_grad
@@ -735,7 +735,8 @@ def test_resolved_config_records_the_environment_and_still_replays(tmp_path, min
     resolved = json.loads((out1 / "resolved_config.json").read_text())
     assert "seed" not in resolved and resolved["train"]["seed"] == 11
     env = resolved["environment"]
-    assert set(env) == {"python", "numpy", "cpu_count", "blas_threads"}
+    assert set(env) == {"python", "numpy", "cpu_count", "blas_threads", "blas_threads_in_use"}
+    assert env["blas_threads_in_use"] == kernels.blas_threads()
     assert env["numpy"] == np.__version__ and isinstance(env["python"], str)
     assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
     assert env["blas_threads"]["OMP_NUM_THREADS"] == "1"

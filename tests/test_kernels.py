@@ -11,6 +11,8 @@ depthwise ``[C, 1, H, 1]`` kernels.
 import gc
 import multiprocessing
 import os
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from dualtsst import dataio, kernels
 from dualtsst import tensor as T
+from dualtsst.cli import GRADCHECK_TOL, dispatch
 from dualtsst.gradcheck import check_gradients
 from dualtsst.model import DualTsstModel, ModelConfig, config_from_preset
 from dualtsst.tensor import cross_entropy
@@ -337,6 +340,83 @@ def test_an_error_on_the_calling_thread_waits_for_its_helper():
         list(kernels._per_chunk(trial, [slice(b, b + 1) for b in range(4)]))
     assert finished == [1]  # the group's helper chunk ran to its end; the next group never ran
     assert threading.active_count() == before
+
+
+def test_whole_model_gradcheck_through_one_trial_chunks(one_trial_chunks, capsys):
+    """Criterion 1's gradient check, with every time conv, batch-norm moment
+    and stem VJP walking one-trial chunks, so each multi-trial call runs
+    chunks on the helper thread; the same gate on every parameter."""
+    assert dispatch(["gradcheck", "--preset", "mini", "--seed", "1"]) == 0
+    err = float(re.search(r"max relative error (\S+)", capsys.readouterr().out).group(1))
+    assert err < GRADCHECK_TOL
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread
+# ---------------------------------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(kernels.blas_threads() is None,
+                                    reason="numpy's BLAS is not OpenBLAS")
+
+
+@needs_openblas
+def test_importing_the_package_runs_openblas_on_one_thread():
+    """Started with OpenBLAS at 2 threads, a process runs it on 1 once the
+    package is imported, so the kernels' chunks in flight are its only threads."""
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    code = "import dualtsst; from dualtsst import kernels; print(kernels.blas_threads())"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "1\n"), run.stderr
+
+
+def library_without_symbols(path):
+    return object()
+
+
+def no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [library_without_symbols, no_library])
+def test_no_openblas_is_a_quiet_no_op(monkeypatch, cdll):
+    """When numpy's extension module cannot be opened, or nothing it links
+    exports OpenBLAS's thread functions, the pin does nothing, raises
+    nothing and reads None."""
+    before = kernels.blas_threads()
+    monkeypatch.setattr(kernels, "_OPENBLAS", kernels._OPENBLAS)
+    monkeypatch.setattr(kernels.ctypes, "CDLL", cdll)
+    kernels._pin_one_blas_thread()
+    assert kernels.blas_threads() is None
+    monkeypatch.undo()
+    assert kernels.blas_threads() == before
+
+
+@needs_openblas
+def test_blas_threads_do_not_change_the_bits(one_trial_chunks):
+    """The time convs and ``linear`` give the same bits with OpenBLAS at 1
+    and 2 threads, at shapes large enough that OpenBLAS splits its GEMMs."""
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(2, 64, 80, 32))
+    w = rng.normal(size=(64, 64, 1, 5))
+    g = rng.normal(size=(2, 64, 80, 28))
+    d = rng.normal(size=(64, 1, 80, 1))
+    a, weight, bias = rng.normal(size=(492, 120)), rng.normal(size=(120, 120)), rng.normal(size=120)
+    set_threads = kernels._OPENBLAS[0]
+    runs = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            assert kernels.blas_threads() == threads
+            runs.append((kernels.conv2d_forward(x, w, ONE),
+                         kernels.conv2d_backward_input(g, w, x.shape),
+                         kernels.conv2d_backward_kernel(g, x, w.shape),
+                         kernels.conv2d_forward(x, w, ONE, depthwise=d),
+                         T.linear(a, weight, bias).data))
+    finally:
+        set_threads(1)
+    for name, one, two in zip(FFT_PASSES + ("linear",), *runs):
+        assert np.array_equal(one, two), f"{name}: 2 BLAS threads change the bits"
 
 
 # ---------------------------------------------------------------------------
